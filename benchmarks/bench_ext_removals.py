@@ -5,7 +5,8 @@ the presence of more realistic update operations, including both insertions
 and removals."  This bench does exactly that: the update+reevaluation phase
 under a stream where 30 % of the like/friendship changes are removals,
 comparing batch recomputation against the removal-aware incremental engines
-(whose top-k falls back from the monotone merge rule to an O(n) reselect).
+(whose top-k keeps the merge rule and reselects, in O(n), only when a served
+score falls).
 """
 
 from __future__ import annotations

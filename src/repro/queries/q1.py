@@ -19,7 +19,7 @@ from repro.graphblas import semiring as _semiring
 from repro.graphblas.types import INT64
 from repro.graphblas.vector import Vector
 from repro.model.graph import GraphDelta, SocialGraph
-from repro.queries.topk import TopKTracker, top_k_entries
+from repro.queries.topk import TopKTracker, grow_scores, top_k_entries
 
 __all__ = ["Q1Batch", "Q1Incremental"]
 
@@ -77,7 +77,9 @@ class Q1Incremental:
 
     ``initial()`` performs one batch evaluation (the paper's GraphBLAS
     Incremental variant does the same on the first step); each ``update()``
-    then costs O(|Δ|) matrix work instead of a full recomputation.
+    then costs O(|Δ|) instead of a full recomputation.  The scores live in
+    one dense array (a full vector, :func:`~repro.queries.topk.grow_scores`)
+    that updates accumulate into at the delta's indices.
     """
 
     name = "Q1"
@@ -85,19 +87,27 @@ class Q1Incremental:
     def __init__(self, graph: SocialGraph, k: int = 3):
         self.graph = graph
         self.k = k
-        self.scores: Vector | None = None
+        self._scores: np.ndarray | None = None
         self.tracker = TopKTracker(k)
+
+    @property
+    def scores(self) -> Vector | None:
+        """The maintained scores as a full vector, materialised on demand."""
+        if self._scores is None:
+            return None
+        return Vector.from_dense(self._scores[: self.graph.num_posts])
 
     # -- phase 1: initial full evaluation --------------------------------
 
     def initial(self) -> list[tuple[int, int]]:
         g = self.graph
-        self.scores = _scores_from(g.root_post, _likes_count(g))
-        dense = self.scores.to_dense()
+        self._scores = _scores_from(g.root_post, _likes_count(g)).to_dense()
         # vectorised seed: the tracker only ever retains k survivors, so
-        # one lexsort top-k replaces offering every post through Python
+        # one top-k selection replaces offering every post through Python
         self.tracker.reseed(
-            top_k_entries(dense, g.post_timestamps, g.posts.external_array(), self.k)
+            top_k_entries(
+                self._scores, g.post_timestamps, g.posts.external_array(), self.k
+            )
         )
         return self.tracker.top()
 
@@ -106,14 +116,18 @@ class Q1Incremental:
     def update(self, delta: GraphDelta) -> list[tuple[int, int]]:
         """Lines 9-14 of Alg. 2, then the top-3 merge.
 
-        Extension: with edge *removals* in the delta (see
-        :mod:`repro.model.changes`) the like-count increment vector simply
-        carries negative entries -- the algebra of Alg. 2 is signed and
-        needs no other change -- but scores are no longer monotone, so the
-        top-3 is re-derived from the maintained scores vector instead of
-        merged (O(|posts|) reselect vs O(|E|) batch recompute).
+        The rootPost pointer column *is* RootPost' -- one entry per comment
+        -- so ``RootPost' ⊕.⊗ likesCount+`` and ``10 x [⊕_j ΔRootPost(:, j)]``
+        reduce to accumulating +10 per new comment and +1 per new like at
+        the comment's root post (line 13, ``scores' <- scores ⊕ scores+``,
+        restricted to the structure of scores+).
+
+        Extension: a removed like (see :mod:`repro.model.changes`)
+        accumulates -1 -- the algebra of Alg. 2 is signed and needs no
+        other change.  The top-3 merge stays exact under decreases: see
+        :meth:`~repro.queries.topk.TopKTracker.refresh`.
         """
-        if self.scores is None:
+        if self._scores is None:
             raise RuntimeError("call initial() before update()")
         if (
             delta.new_post_idx.size == 0
@@ -126,61 +140,25 @@ class Q1Incremental:
             return self.tracker.top()
         g = self.graph
         n_posts = delta.n_posts_after
-        n_comments = delta.n_comments_after
-        # dimensions grow: posts' x comments'
-        self.scores.resize(n_posts)
-
-        # ΔRootPost and likesCount+ from the applied change set; removed
-        # likes contribute -1 (the extension's signed increment).  Empty
-        # operands are skipped outright: ⊕ with nothing is the identity, and
-        # in the micro-batch steady state most deltas carry only one kind.
-        like_c, _like_u = delta.new_likes
-        counts = np.bincount(like_c, minlength=n_comments).astype(np.int64)
-        unlike_c, _ = delta.removed_likes
-        if unlike_c.size:
-            counts -= np.bincount(unlike_c, minlength=n_comments).astype(np.int64)
-        nz = np.flatnonzero(counts)
-
-        replies_plus = None
-        if delta.new_comment_idx.size:
-            # line 9-10: repliesScores+ <- 10 x [⊕_j ΔRootPost(:, j)]
-            new_comment_counts = delta.delta_root_post().reduce_vector(
-                _PLUS, dtype=INT64
-            )
-            replies_plus = new_comment_counts.apply(_MUL10)
-        likes_plus = None
-        if nz.size:
-            likes_count_plus = Vector.from_coo(nz, counts[nz], n_comments, dtype=INT64)
-            # line 11: likesScore+ <- RootPost' ⊕.⊗ likesCount+
-            likes_plus = g.root_post.mxv(likes_count_plus, _PLUS_TIMES)
-        # line 12: scores+ <- repliesScores+ ⊕ likesScore+
-        if replies_plus is not None and likes_plus is not None:
-            scores_plus = replies_plus.ewise_add(likes_plus, _ops.plus)
-        elif replies_plus is not None:
-            scores_plus = replies_plus
-        elif likes_plus is not None:
-            scores_plus = likes_plus
-        else:
-            scores_plus = Vector.sparse(INT64, n_posts)
-        # line 13: scores' <- scores ⊕ scores+
-        self.scores = self.scores.ewise_add(scores_plus, _ops.plus)
-        # line 14: Δscores<scores+> <- scores'   (changed scores only)
-        delta_scores = Vector.sparse(INT64, n_posts)
-        delta_scores.assign(self.scores, mask=scores_plus)
-
-        ts = g.post_timestamps
-        ext = g.posts.external_array()
-        if delta.has_removals:
-            # Non-monotone: reselect the top-3 over the maintained vector.
-            self.tracker.reseed(top_k_entries(self.scores.to_dense(), ts, ext, self.k))
-        else:
-            # merge with previous top-3 (monotone => candidates suffice);
-            # brand-new posts with no comments score 0 but may still place.
-            for i, s in delta_scores.items():
-                self.tracker.offer(int(ext[i]), int(s), int(ts[i]))
-            for i in delta.new_post_idx.tolist():
-                self.tracker.offer(int(ext[i]), int(self.scores.get(i, 0)), int(ts[i]))
-        return self.tracker.top()
+        scores = self._scores = grow_scores(self._scores, n_posts)
+        root = g.comment_root_posts()
+        # line 14: Δscores<scores+> -- brand-new posts score 0 but may place
+        changed = [delta.new_post_idx]
+        for comments, weight in (
+            (delta.new_comment_idx, 10),
+            (delta.new_likes[0], 1),
+            (delta.removed_likes[0], -1),
+        ):
+            if comments.size:
+                posts = root[comments]
+                np.add.at(scores, posts, weight)
+                changed.append(posts)
+        return self.tracker.refresh(
+            scores[:n_posts],
+            g.post_timestamps,
+            g.posts.external_array(),
+            np.concatenate(changed),
+        )
 
     def result_string(self) -> str:
         return self.tracker.result_string()

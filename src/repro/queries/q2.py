@@ -45,7 +45,7 @@ from repro.lagraph.fastsv import fastsv
 from repro.lagraph.incremental_cc import IncrementalCC
 from repro.model.graph import GraphDelta, SocialGraph
 from repro.parallel.executor import Executor, SerialExecutor, chunk_evenly
-from repro.queries.topk import TopKTracker, top_k_entries
+from repro.queries.topk import TopKTracker, grow_scores, top_k_entries
 from repro.util.validation import ReproError
 
 __all__ = [
@@ -370,13 +370,29 @@ class Q2Incremental:
         self.k = k
         self.algorithm = algorithm
         self.executor = executor
-        self.scores: Vector | None = None
+        #: dense scores over comments (see :func:`~repro.queries.topk.grow_scores`)
+        self._scores: np.ndarray | None = None
         self.tracker = TopKTracker(k)
         # state for the "incremental" components mode
         self._cc: dict[int, IncrementalCC] = {}
         self._likers: dict[int, set[int]] = {}
         self._user_likes: dict[int, set[int]] = {}
         self._friend_adj: dict[int, set[int]] = {}
+
+    @property
+    def scores(self) -> Vector | None:
+        """The maintained scores as a full vector, materialised on demand."""
+        if self._scores is None:
+            return None
+        return Vector.from_dense(self._scores[: self.graph.num_comments])
+
+    def _overwrite(self, scored: dict[int, int]) -> np.ndarray:
+        """``scores<scored> <- scored``; returns the written indices."""
+        idx = np.fromiter(scored.keys(), dtype=np.int64, count=len(scored))
+        self._scores[idx] = np.fromiter(
+            scored.values(), dtype=np.int64, count=len(scored)
+        )
+        return idx
 
     # -- phase 1 ----------------------------------------------------------
 
@@ -392,14 +408,12 @@ class Q2Incremental:
                 algorithm=self.algorithm,
                 executor=self.executor,
             )
-        idx = np.fromiter(scored.keys(), dtype=np.int64, count=len(scored))
-        vals = np.fromiter(scored.values(), dtype=np.int64, count=len(scored))
-        self.scores = Vector.from_coo(idx, vals, g.num_comments, dtype=INT64)
-        dense = self.scores.to_dense()
-        # vectorised seed (one lexsort top-k; see Q1Incremental.initial)
+        self._scores = np.zeros(g.num_comments, dtype=np.int64)
+        self._overwrite(scored)
+        # vectorised seed (one top-k selection; see Q1Incremental.initial)
         self.tracker.reseed(
             top_k_entries(
-                dense, g.comment_timestamps, g.comments.external_array(), self.k
+                self._scores, g.comment_timestamps, g.comments.external_array(), self.k
             )
         )
         return self.tracker.top()
@@ -497,7 +511,13 @@ class Q2Incremental:
             self._cc[c] = cc
 
     def update(self, delta: GraphDelta) -> list[tuple[int, int]]:
-        if self.scores is None:
+        """Steps 1-9 of Fig. 4b: detect the affected comments, re-score
+        them, overwrite their scores, merge the top-3.
+
+        Removals may lower scores; the merge stays exact under decreases
+        (:meth:`~repro.queries.topk.TopKTracker.refresh`).
+        """
+        if self._scores is None:
             raise RuntimeError("call initial() before update()")
         if (
             delta.new_comment_idx.size == 0
@@ -509,7 +529,6 @@ class Q2Incremental:
             # moved, so no induced liker subgraph -- and no score -- changed.
             return self.tracker.top()
         g = self.graph
-        self.scores.resize(g.num_comments)
         affected = self._affected_comments(delta)
 
         # Steps 6-9: re-score the affected comments only.
@@ -526,26 +545,17 @@ class Q2Incremental:
                 g, affected.tolist(), algorithm=self.algorithm, executor=self.executor
             )
 
-        ts = g.comment_timestamps
-        ext = g.comments.external_array()
-        if scored:
-            delta_scores = Vector.from_coo(
-                np.asarray(sorted(scored), dtype=np.int64),
-                np.asarray([scored[c] for c in sorted(scored)], dtype=np.int64),
-                g.num_comments,
-                dtype=INT64,
-            )
-            # scores' <- scores overwritten at changed positions ("new scores
-            # overwrite existing ones", Sec. III)
-            self.scores.assign(delta_scores, accum=_ops.second)
-            if not delta.has_removals:
-                for c, s in scored.items():
-                    self.tracker.offer(int(ext[c]), int(s), int(ts[c]))
-        if delta.has_removals:
-            # Extension: scores may have decreased -- reselect the top-3
-            # from the maintained vector (O(|comments|), not O(batch)).
-            self.tracker.reseed(top_k_entries(self.scores.to_dense(), ts, ext, self.k))
-        return self.tracker.top()
+        n_comments = g.num_comments
+        self._scores = grow_scores(self._scores, n_comments)
+        # scores' <- scores overwritten at changed positions ("new scores
+        # overwrite existing ones", Sec. III)
+        changed = self._overwrite(scored)
+        return self.tracker.refresh(
+            self._scores[:n_comments],
+            g.comment_timestamps,
+            g.comments.external_array(),
+            changed,
+        )
 
     def result_string(self) -> str:
         return self.tracker.result_string()

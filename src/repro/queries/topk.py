@@ -13,12 +13,12 @@ top-k in O(|changed| log k) instead of a full rescan.
 
 **Removal extension** (``RemoveLike`` / ``RemoveFriendship``, see
 :mod:`repro.model.changes`): with removals in the update stream scores are
-no longer monotone -- a decrease can evict a pooled entity and promote one
-pruned earlier, so the merge rule alone is unsound for such change sets.
-Callers detect that case via ``GraphDelta.has_removals`` and call
-:meth:`TopKTracker.reseed` with a candidate set re-derived from the
-maintained scores vector: an O(|entities|) reselect, still far cheaper
-than the O(|E|) batch recompute, and exact for both regimes.
+no longer monotone, but the merge rule survives every change set that
+lowers no *pooled* score: an unchanged outsider ranked below every pooled
+entity before and still does, so the new top-k again lies in ``pool ∪
+changed``.  :meth:`TopKTracker.refresh` applies exactly that rule and
+reselects from the dense scores -- :func:`top_k_entries`, O(|entities|) --
+only when a pooled entity lost score.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["top_k", "top_k_entries", "TopKTracker"]
+__all__ = ["top_k", "top_k_entries", "grow_scores", "TopKTracker"]
 
 
 def _sort_key(entry: tuple[int, int, int]):
@@ -41,24 +41,26 @@ def top_k_entries(
 ) -> list[tuple[int, int, int]]:
     """Top-k (external_id, score, timestamp) triples, contest ordering.
 
-    Vectorised: one ``np.lexsort`` over (score desc, timestamp desc,
-    external id asc) instead of building and sorting a Python list of every
-    entity -- this is the hot reselect path of the removal extension and of
-    the incremental engines' initial evaluation.  The timestamp rides along
-    so callers can reseed a :class:`TopKTracker` without building an
+    O(n) selection: ``np.partition`` finds the k-th highest score, and only
+    the entities at or above it -- k plus the ties on that score -- are
+    ordered by ``np.lexsort`` over (score desc, timestamp desc, external id
+    asc).  This is the reselect path of the removal extension and of the
+    incremental engines' initial evaluation.  The timestamp rides along so
+    callers can reseed a :class:`TopKTracker` without building an
     entity->timestamp dict over the whole graph.
     """
     scores = np.asarray(scores)
     n = scores.size
-    if n == 0:
-        return []
     ts = np.asarray(timestamps)
     ext = np.asarray(external_ids)
+    if 0 < k < n:
+        at_or_above = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    else:
+        at_or_above = np.arange(n)
+    s, t, e = scores[at_or_above], ts[at_or_above], ext[at_or_above]
     # lexsort: last key is primary; negate the descending keys
-    order = np.lexsort((ext, -ts, -scores))[: min(k, n)]
-    return [
-        (int(ext[i]), int(scores[i]), int(ts[i])) for i in order.tolist()
-    ]
+    order = np.lexsort((e, -t, -s))[:k]
+    return list(zip(e[order].tolist(), s[order].tolist(), t[order].tolist()))
 
 
 def top_k(
@@ -74,8 +76,22 @@ def top_k(
     return [(ext, score) for ext, score, _ in top_k_entries(scores, timestamps, external_ids, k)]
 
 
+def grow_scores(scores: np.ndarray, n: int) -> np.ndarray:
+    """Dense ``int64`` scores with room for ``n`` entities.
+
+    The incremental engines' state: a GraphBLAS *full* vector whose
+    capacity doubles, so entity growth costs amortised O(1) per entity and
+    an update touches the delta's indices only.  New slots score 0.
+    """
+    if n <= scores.size:
+        return scores
+    grown = np.zeros(max(n, 2 * scores.size), dtype=np.int64)
+    grown[: scores.size] = scores
+    return grown
+
+
 class TopKTracker:
-    """Maintains top-k under monotonically non-decreasing score updates."""
+    """Maintains the exact top-k across score updates (see the module docstring)."""
 
     def __init__(self, k: int = 3):
         self.k = k
@@ -97,21 +113,49 @@ class TopKTracker:
     def reseed(self, entries: Iterable[tuple[int, int, int]]) -> None:
         """Replace the pool outright; items are (ext_id, score, timestamp).
 
-        Used after *non-monotone* updates (the removal extension): a score
-        decrease can evict a pooled entity and promote one pruned earlier,
-        so the merge rule no longer applies and the caller re-derives the
-        candidate set from the full scores vector.
+        For when the merge rule does not apply: a decrease of a pooled
+        score can promote an entity pruned earlier, so the caller re-derives
+        the candidate set from all scores (:meth:`refresh` does so itself).
         """
         self._pool = {
             int(ext): (int(score), int(ts), int(ext)) for ext, score, ts in entries
         }
 
+    def refresh(
+        self,
+        scores: np.ndarray,
+        timestamps: np.ndarray,
+        external_ids: np.ndarray,
+        changed: np.ndarray,
+    ) -> list[tuple[int, int]]:
+        """Exact top-k after the scores at indices ``changed`` moved, up or down.
+
+        The three arrays are dense over all entities and hold the *new*
+        values; ``changed`` names every entity whose score moved and every
+        new entity.  While no pooled entity lost score the merge rule
+        holds and the changed entities are offered at their current scores,
+        O(|changed|); only when one did is the pool reselected from the
+        dense scores with :func:`top_k_entries`.
+        """
+        pool = self._pool
+        for score, ts, ext in zip(
+            scores[changed].tolist(),
+            timestamps[changed].tolist(),
+            external_ids[changed].tolist(),
+        ):
+            prev = pool.get(ext)
+            if prev is not None and score < prev[0]:
+                self.reseed(top_k_entries(scores, timestamps, external_ids, self.k))
+                break
+            pool[ext] = (score, ts, ext)
+        return self.top()
+
     def top(self) -> list[tuple[int, int]]:
         """Current top-k (external_id, score), contest ordering.
 
-        Also prunes the pool to the k survivors: under monotone updates no
-        pruned entity can re-enter without its score changing again, in
-        which case it will be re-offered.
+        Also prunes the pool to the k survivors: a pruned entity can only
+        re-enter when its own score changes again, in which case it is
+        re-offered, or when a pooled score falls, which reselects.
         """
         return [(ext, score) for ext, score, _ in self.top_entries()]
 

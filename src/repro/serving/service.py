@@ -324,15 +324,25 @@ class GraphService:
             wal.repair()
             version = snap_version
             replayed = 0
+            # The deltas are discarded (every engine re-runs initial()
+            # below), so consecutive frames are applied as one change set
+            # of at most 512 changes: apply's fixed cost is paid per set,
+            # not per frame.
+            tail: list[Change] = []
             for v, batch in wal.replay(after_version=snap_version):
                 if v != version + 1:
                     raise ReproError(
                         f"change log gap: snapshot v{snap_version}, then batch "
                         f"v{v} after v{version}"
                     )
-                graph.apply(batch)
+                if tail and len(tail) + len(batch) > 512:
+                    graph.apply(ChangeSet(tail))
+                    tail = []
+                tail.extend(batch)
                 version = v
                 replayed += 1
+            if tail:
+                graph.apply(ChangeSet(tail))
             sp.set(snapshot_version=snap_version, replayed=replayed)
             service = cls(
                 graph,

@@ -162,3 +162,66 @@ def test_pruned_snapshots_still_recover(tmp_path):
         assert rec.query("Q1").result_string == Q1Batch(final_graph).result_string()
     finally:
         rec.close()
+
+
+def _single_change_log(tmp_path, removal_fraction=0.3):
+    """A durable service fed one change per frame; returns the final graph."""
+    fresh_graph, stream = datagen_stream(
+        17, removal_fraction=removal_fraction, total_inserts=700, num_change_sets=4
+    )
+    final_graph = fresh_graph()
+    svc = GraphService(
+        fresh_graph(), tools=TOOLS, max_delay_ms=1e9, data_dir=tmp_path, wal_sync=False
+    )
+    for cs in stream:
+        final_graph.apply(cs)
+        for change in cs:
+            svc.submit(change)
+            svc.flush()
+    version = svc.version
+    del svc
+    return version, final_graph
+
+
+def test_recover_replays_single_change_frames_in_coalesced_sets(tmp_path, monkeypatch):
+    """The tail is applied in sets of at most 512 changes, not frame by
+    frame, and lands on the same graph -- removals included, an edge
+    inserted in one frame and removed in a later one of the same set too."""
+    from repro.model.graph import SocialGraph
+
+    frames, final_graph = _single_change_log(tmp_path)
+    assert frames > 512
+    sets: list[int] = []
+    real_apply = SocialGraph.apply
+
+    def apply(self, change_set):
+        sets.append(len(change_set))
+        return real_apply(self, change_set)
+
+    monkeypatch.setattr(SocialGraph, "apply", apply)
+    rec = GraphService.recover(tmp_path, tools=TOOLS, max_delay_ms=1e9)
+    try:
+        assert rec._recovered_from == (0, frames)
+        assert sum(sets) == frames and max(sets) <= 512
+        assert len(sets) == -(-frames // 512)
+        assert rec.version == frames
+        assert rec.graph.stats() == final_graph.stats()
+        assert rec.query("Q1").result_string == Q1Batch(final_graph).result_string()
+        assert (
+            rec.query("Q2").result_string
+            == Q2Batch(final_graph, algorithm="unionfind").result_string()
+        )
+    finally:
+        rec.close()
+
+
+def test_recover_still_checks_every_frame_for_a_version_gap(tmp_path):
+    frames, _ = _single_change_log(tmp_path, removal_fraction=0.0)
+    wal = tmp_path / "wal.csv"
+    rows = wal.read_text().splitlines(keepends=True)
+    # cut frame 100 out of the middle of a coalesced set
+    start = next(i for i, r in enumerate(rows) if r.startswith("BEGIN,100,"))
+    end = next(i for i, r in enumerate(rows) if r.startswith("BEGIN,101,"))
+    wal.write_text("".join(rows[:start] + rows[end:]))
+    with pytest.raises(ReproError, match="change log gap"):
+        GraphService.recover(tmp_path, tools=TOOLS, max_delay_ms=1e9)
