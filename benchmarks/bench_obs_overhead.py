@@ -2,12 +2,11 @@
 
 The obs layer's contract is *disabled-by-default cheap*: with no tracer
 installed every ``span_if`` resolves to a shared null span after one slot
-read, and ``locked_map`` skips the ``TimedBlock`` wrapper entirely.  This
-bench prices that contract on the steady-state serving workload from
-``bench_serving`` (single-change micro-batches, interleaved reads,
-``graphblas-incremental`` engines) in three configurations:
+read.  This bench prices that contract on the steady-state serving
+workload from ``bench_serving`` (single-change micro-batches, interleaved
+reads, ``graphblas-incremental`` engines) in two configurations:
 
-* ``off``   -- no tracer, no profiler: the default production path.  Its
+* ``off``   -- no tracer: the default production path.  Its
   updates/sec (best of three rounds) is compared against a *pre-obs
   baseline*: the same workload run by the code as it was before the
   instrumentation existed.  Pass ``--pre-src PATH`` (a pristine checkout,
@@ -18,9 +17,6 @@ bench prices that contract on the steady-state serving workload from
   used, and the delta then folds in whatever the machine has drifted
   since that record was committed.
 * ``trace`` -- a live :class:`repro.obs.Tracer` collecting every span.
-* ``both``  -- tracer plus :class:`repro.obs.KernelProfiler` (the
-  profiler only engages inside parallel kernel regions, so on the
-  single-process smoke it prices the slot checks, not block timing).
 
 Script mode (CI)::
 
@@ -53,7 +49,7 @@ from bench_serving import (  # noqa: E402
 )
 
 from repro.datagen import generate_benchmark_input  # noqa: E402
-from repro.obs import KernelProfiler, Tracer, set_kernel_profiler, set_tracer  # noqa: E402
+from repro.obs import Tracer, set_tracer  # noqa: E402
 from repro.queries import Q1Batch, Q2Batch  # noqa: E402
 from repro.serving import GraphService  # noqa: E402
 
@@ -61,10 +57,9 @@ _BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 _RECORD_PATH = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 
-def run_round(scale: int, *, tracer=None, profiler=None) -> dict:
+def run_round(scale: int, *, tracer=None) -> dict:
     """One steady-state stream under the given telemetry configuration."""
     set_tracer(tracer)
-    set_kernel_profiler(profiler)
     try:
         graph, change_sets = generate_benchmark_input(scale, seed=42)
         changes = [ch for cs in change_sets for ch in cs]
@@ -98,7 +93,6 @@ def run_round(scale: int, *, tracer=None, profiler=None) -> dict:
         return out
     finally:
         set_tracer(None)
-        set_kernel_profiler(None)
 
 
 def _subprocess_steady(root: Path, scale: int) -> dict:
@@ -186,7 +180,6 @@ def main(argv=None) -> int:
     for name, kwargs in (
         ("off", {}),
         ("trace", {"tracer": Tracer()}),
-        ("both", {"tracer": Tracer(), "profiler": KernelProfiler()}),
     ):
         # the off config is the <2% claim: take the best of N rounds so a
         # scheduler hiccup can't masquerade as instrumentation cost
@@ -237,7 +230,7 @@ def main(argv=None) -> int:
     record = {
         "workload": {
             "description": (
-                "bench_serving steady-state stream under three telemetry "
+                "bench_serving steady-state stream under two telemetry "
                 "configurations, compared against the pre-obs code running "
                 "the same workload"
             ),
@@ -260,9 +253,6 @@ def main(argv=None) -> int:
             ),
             "trace_vs_off": _pct(
                 rounds["trace"]["updates_per_s"], rounds["off"]["updates_per_s"]
-            ),
-            "both_vs_off": _pct(
-                rounds["both"]["updates_per_s"], rounds["off"]["updates_per_s"]
             ),
         },
         "note": (

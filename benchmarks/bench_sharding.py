@@ -18,13 +18,12 @@ handles, ``REPRO_SHARD_PROCS=1``).  Script mode::
 writes the ``{workload, configs, ...}`` record to ``BENCH_sharding.json``
 (committed copy: ``benchmarks/BENCH_sharding.json``).  Every config row
 carries a ``backend`` field, and ``process_vs_inproc`` reports the
-updates/s ratio at each shard count.  Like ``BENCH_parallel.json``, the
-record carries ``cpu_count`` and an honest ``note``: on a single-core
-box neither backend can beat the other by much -- the thread backend
-serializes on the GIL and the process backend time-slices its workers --
-so shards > 1 mostly buys *partitioned state and fault isolation* there;
-real scaling numbers come from the multicore ``tier1-sharded-procs`` CI
-job's artifact.
+updates/s ratio at each shard count.  The record carries ``cpu_count``
+and an honest ``note``: on a single-core box neither backend can beat
+the other by much -- the thread backend serializes on the GIL and the
+process backend time-slices its workers -- so shards > 1 mostly buys
+*partitioned state and fault isolation* there; real scaling numbers come
+from the multicore ``tier1-sharded-procs`` CI job's artifact.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ only when enough of the friends graph changed, serving staleness-tagged
 results in between.
 
 Run:  PYTHONPATH=src python examples/graph_analytics.py
-(on a multicore box, prefix with REPRO_WORKERS=8 for row-parallel kernels)
 """
 
 from repro.datagen import generate_benchmark_input

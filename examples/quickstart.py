@@ -7,9 +7,7 @@ Fig. 3b, and re-evaluates both incrementally -- printing every score the
 paper states so you can check them against the figures.  A final section
 runs the same update through the architecture the repo has grown into: a
 :class:`~repro.serving.GraphService` serving the queries *and* a live
-analytics tool from its versioned cache (see README.md and DESIGN.md; on a
-multicore box ``REPRO_WORKERS=8 python examples/quickstart.py`` runs the
-kernels row-parallel).
+analytics tool from its versioned cache (see README.md and DESIGN.md).
 
 Run:  python examples/quickstart.py
 """

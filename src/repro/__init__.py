@@ -6,17 +6,14 @@ model and generators, the paper's batch and incremental query algorithms,
 the NMF reference baseline, and the benchmark framework regenerating the
 paper's Fig. 5 and Table II -- grown, per ``ROADMAP.md``, into a serving
 system: streaming ingest with crash recovery, rebuild-free dynamic
-storage, row-parallel kernels, online graph analytics, and
-hash-partitioned sharded serving with exact scatter-gather top-k.
+storage, online graph analytics, and hash-partitioned sharded serving
+with exact scatter-gather top-k.
 
 Layer map (see DESIGN.md for the full inventory):
 
 =====================  =====================================================
-``repro.graphblas``    sparse linear algebra over semirings (GrB_* API),
-                       DynamicMatrix updatable storage, and row-parallel
-                       kernel execution (``REPRO_WORKERS`` forks a kernel
-                       worker pool; large SpGEMM/SpMV/reduce/merge kernels
-                       fan out over nnz-balanced row blocks)
+``repro.graphblas``    sparse linear algebra over semirings (GrB_* API)
+                       and DynamicMatrix updatable storage
 ``repro.lagraph``      FastSV CC, BFS, PageRank, triangles, SSSP, CDLP,
                        k-core, k-truss, LCC, betweenness, SCC, incremental
                        CC, plus ``online``: uniform servable entry points
@@ -29,16 +26,15 @@ Layer map (see DESIGN.md for the full inventory):
 ``repro.nmf``          reference baseline: object-graph traversal (batch)
                        and a dynamic dependency graph engine (incremental)
 ``repro.datagen``      LDBC-style synthetic graphs (Table II targets)
-``repro.parallel``     executors; "8 threads" = fork-once pool + /dev/shm,
-                       doubling as the kernel-layer worker pool
+``repro.parallel``     executors for the Fig. 5 "8 thr" lines: a fork-once
+                       pool + /dev/shm; its frame format is the shard RPC
 ``repro.benchmark``    TTC phase harness, Fig. 5 / Table II / contest logs
 ``repro.analytics``    the lagraph algorithms as servable, incrementally
                        maintained analytics engines (policy-driven: exact
                        incremental or dirty-threshold recompute)
 ``repro.serving``      GraphService: micro-batched streaming ingest of
                        query + analytics engines, O(1) cached reads,
-                       snapshot + change-log crash recovery, concurrent
-                       engine fan-out
+                       snapshot + change-log crash recovery
 ``repro.sharding``     ShardedGraphService: K hash-partitioned shards
                        behind a router (``REPRO_SHARDS``) -- router WAL,
                        versioned consistency barrier, exact scatter-gather

@@ -7,7 +7,7 @@ An :class:`AnalyticsEngine` speaks the same
 :class:`~repro.queries.engine.EngineBase` protocol as the Fig. 5 query
 engines (``load`` / ``initial`` / ``refresh(delta)`` / ``last_top`` /
 ``close``), so :class:`~repro.serving.service.GraphService` registers
-analytics tools next to Q1/Q2 and fans every applied batch out to them --
+analytics tools next to Q1/Q2 and refreshes them with every applied batch --
 versioned result cache, per-op metrics and WAL/snapshot recovery unchanged.
 
 Maintenance is policy-driven per algorithm (see
@@ -17,8 +17,6 @@ components via union-find, degree by frontier counting), dirty-threshold
 recompute elsewhere (PageRank, CDLP, triangles, LCC, k-core recompute only
 once accumulated delta nnz crosses a configurable fraction of the graph,
 serving the last committed result with a staleness tag meanwhile).
-Recomputes run through the ordinary kernel layer, so an installed kernel
-executor (``REPRO_WORKERS``) parallelises them for free.
 """
 
 from repro.analytics.engine import (

@@ -13,11 +13,8 @@ No kernel here allocates Python objects per entry; hot paths are lexsort
 merges, ``np.repeat`` expansions and ``ufunc.reduceat`` segment reductions,
 per the hpc-parallel guidance (vectorise; mind memory traffic; measure).
 
-The kernels are not serial-only: :mod:`repro.graphblas._kernels.parallel`
-re-runs the big ones (SpGEMM, SpMV, row reduce, dirty-row merge) over
-nnz-balanced row blocks on the process-wide kernel executor
-(``REPRO_WORKERS`` / :func:`~repro.graphblas._kernels.parallel.
-set_kernel_executor`) once the estimated work clears the
-``REPRO_PARALLEL_CUTOFF`` -- bit-identical results, serial fallback below
-the cutoff.
+Every kernel runs serially in the calling process.  The paper's 8-thread
+parallelism lives one level up, at comment granularity
+(:func:`repro.queries.q2.score_comments` over a :mod:`repro.parallel`
+executor).
 """

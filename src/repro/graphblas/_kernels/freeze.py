@@ -21,49 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphblas._kernels import parallel as _parallel
-
 __all__ = ["merge_dirty_rows"]
-
-
-def _splice_range(
-    rows, cols, vals, indptr, dirty_rows, d_lo, d_hi, d_rows, d_cols, d_vals, i0, i1
-):
-    """Splice the sub-range ``dirty_rows[i0:i1)`` into its source span.
-
-    Covers source entries from the end of dirty row ``i0 - 1`` (or 0) up to
-    the end of dirty row ``i1 - 1`` -- the global tail after the last dirty
-    row is the caller's.  Disjoint ascending ranges concatenate into the
-    full splice, which is what makes the freeze row-parallelisable.
-    """
-    r_chunks: list[np.ndarray] = []
-    c_chunks: list[np.ndarray] = []
-    v_chunks: list[np.ndarray] = []
-    prev = 0 if i0 == 0 else int(indptr[dirty_rows[i0 - 1] + 1])
-    for j in range(i0, i1):
-        r = int(dirty_rows[j])
-        ds, de = int(d_lo[j]), int(d_hi[j])
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        if lo > prev:  # untouched stretch before this dirty row
-            r_chunks.append(rows[prev:lo])
-            c_chunks.append(cols[prev:lo])
-            v_chunks.append(vals[prev:lo])
-        if de > ds:  # the row's replacement entries
-            r_chunks.append(d_rows[ds:de])
-            c_chunks.append(d_cols[ds:de])
-            v_chunks.append(d_vals[ds:de])
-        prev = hi
-    if r_chunks:
-        return (
-            np.concatenate(r_chunks),
-            np.concatenate(c_chunks),
-            np.concatenate(v_chunks),
-        )
-    return (
-        np.zeros(0, dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        np.zeros(0, dtype=vals.dtype),
-    )
 
 
 def merge_dirty_rows(
@@ -89,27 +47,36 @@ def merge_dirty_rows(
 
     Returns ``(rows, cols, vals, indptr)`` of the spliced matrix.
     """
-    # where each dirty row's replacement entries start/end (also feeds the
-    # indptr shift below, so computed on both paths)
+    # where each dirty row's replacement entries start/end
     d_lo = np.searchsorted(d_rows, dirty_rows)
     d_hi = np.searchsorted(d_rows, dirty_rows, side="right")
-    spliced = _parallel.parallel_merge_dirty_rows(
-        rows, cols, vals, indptr, dirty_rows, d_rows, d_cols, d_vals
-    )
-    if spliced is not None:
-        out_rows, out_cols, out_vals = spliced
+    r_chunks: list[np.ndarray] = []
+    c_chunks: list[np.ndarray] = []
+    v_chunks: list[np.ndarray] = []
+    prev = 0
+    for r, ds, de in zip(dirty_rows.tolist(), d_lo.tolist(), d_hi.tolist()):
+        lo, hi = int(indptr[r]), int(indptr[r + 1])
+        if lo > prev:  # untouched stretch before this dirty row
+            r_chunks.append(rows[prev:lo])
+            c_chunks.append(cols[prev:lo])
+            v_chunks.append(vals[prev:lo])
+        if de > ds:  # the row's replacement entries
+            r_chunks.append(d_rows[ds:de])
+            c_chunks.append(d_cols[ds:de])
+            v_chunks.append(d_vals[ds:de])
+        prev = hi
+    if prev < rows.size:  # tail after the last dirty row
+        r_chunks.append(rows[prev:])
+        c_chunks.append(cols[prev:])
+        v_chunks.append(vals[prev:])
+    if r_chunks:
+        out_rows = np.concatenate(r_chunks)
+        out_cols = np.concatenate(c_chunks)
+        out_vals = np.concatenate(v_chunks)
     else:
-        body = _splice_range(
-            rows, cols, vals, indptr, dirty_rows, d_lo, d_hi,
-            d_rows, d_cols, d_vals, 0, dirty_rows.size,
-        )
-        prev = int(indptr[dirty_rows[-1] + 1]) if dirty_rows.size else 0
-        if prev < rows.size:  # tail after the last dirty row
-            out_rows = np.concatenate([body[0], rows[prev:]])
-            out_cols = np.concatenate([body[1], cols[prev:]])
-            out_vals = np.concatenate([body[2], vals[prev:]])
-        else:
-            out_rows, out_cols, out_vals = body
+        out_rows = np.zeros(0, dtype=np.int64)
+        out_cols = np.zeros(0, dtype=np.int64)
+        out_vals = np.zeros(0, dtype=vals.dtype)
 
     # indptr: shift everything after each dirty row by that row's size change
     shift = np.zeros(nrows + 1, dtype=np.int64)

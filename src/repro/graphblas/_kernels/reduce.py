@@ -10,32 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphblas._kernels import parallel as _parallel
 from repro.graphblas._kernels.coo import segment_reduce
 
 __all__ = ["reduce_rows", "reduce_groups"]
 
 
-def reduce_rows(rows: np.ndarray, values: np.ndarray, monoid, indptr=None):
-    """Reduce each non-empty row; returns (row_indices, reduced_values).
-
-    ``indptr`` is an optional cached CSR row pointer; the parallel path
-    (large inputs, kernel executor installed) engages only when it is
-    supplied, balancing row blocks by nnz -- rows never span blocks, so
-    block results concatenate.  Callers with arbitrary huge ids
-    (:func:`reduce_groups` on encoded keys) pass none and stay serial,
-    because an indptr over the id space would cost O(max id).
-    """
-    if rows.size == 0:
-        return rows[:0], values[:0]
-    res = _parallel.parallel_reduce_rows(rows, values, monoid, indptr)
-    if res is not None:
-        return res
-    return _reduce_rows_serial(rows, values, monoid)
-
-
-def _reduce_rows_serial(rows: np.ndarray, values: np.ndarray, monoid):
-    """Single-block boundary scan + ``reduceat`` (also the per-block body)."""
+def reduce_rows(rows: np.ndarray, values: np.ndarray, monoid):
+    """Reduce each non-empty row; returns (row_indices, reduced_values)."""
     if rows.size == 0:
         return rows[:0], values[:0]
     boundary = np.empty(rows.size, dtype=np.bool_)

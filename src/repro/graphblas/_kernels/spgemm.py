@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graphblas._kernels import parallel as _parallel
 from repro.graphblas._kernels.coo import (
     canonicalize_matrix,
     decode,
@@ -68,7 +67,20 @@ def _expand_block(a_rows, a_cols, a_vals, b_indptr, b_cols, b_vals, semiring, nr
     )
 
 
-def _tiled_mxm(a, b_indptr, b_cols, b_vals, b_ncols, semiring, lengths, flops):
+def _row_work_prefix(rows: np.ndarray, weights: np.ndarray, nrows: int) -> np.ndarray:
+    """Per-row work prefix (length ``nrows + 1``) from per-entry weights.
+
+    The float64 per-row sums are exact: a row's work stays far below 2**53
+    (a row over :data:`FLOP_LIMIT` is refused anyway).
+    """
+    per_row = np.bincount(rows, weights=weights, minlength=nrows)
+    prefix = np.empty(nrows + 1, dtype=np.int64)
+    prefix[0] = 0
+    np.cumsum(per_row, out=prefix[1:], dtype=np.int64)
+    return prefix
+
+
+def _tiled_mxm(a, b_indptr, b_cols, b_vals, b_ncols, semiring, lengths):
     """Serial row-tiled expansion for batches over :data:`FLOP_LIMIT`.
 
     Greedy tiling over the per-row flop prefix: each tile materialises at
@@ -77,7 +89,7 @@ def _tiled_mxm(a, b_indptr, b_cols, b_vals, b_ncols, semiring, lengths, flops):
     work at O(FLOP_LIMIT) peak memory.
     """
     a_rows, a_cols, a_vals, a_nrows, _ = a
-    prefix = _parallel._row_work_prefix(a_rows, lengths, a_nrows)
+    prefix = _row_work_prefix(a_rows, lengths, a_nrows)
     worst = int(np.diff(prefix).max()) if a_nrows else 0
     if worst > FLOP_LIMIT:
         raise ReproError(
@@ -109,11 +121,9 @@ def generic_mxm(a, b, semiring):
     """``C = A ⊕.⊗ B`` over any semiring.
 
     ``a`` and ``b`` are ``(rows, cols, values, nrows, ncols)`` tuples in
-    canonical COO form.  Returns canonical COO for C.
-
-    Dispatch: above the kernel-layer cutoff the expansion runs row-parallel
-    (:func:`repro.graphblas._kernels.parallel.parallel_mxm`); above
-    :data:`FLOP_LIMIT` it runs serially in row tiles instead of failing.
+    canonical COO form.  Returns canonical COO for C.  Above
+    :data:`FLOP_LIMIT` products the expansion runs in row tiles instead of
+    failing.
     """
     a_rows, a_cols, a_vals, a_nrows, a_ncols = a
     b_rows, b_cols, b_vals, b_nrows, b_ncols = b
@@ -122,14 +132,8 @@ def generic_mxm(a, b, semiring):
 
     b_indptr = indptr_from_rows(b_rows, b_nrows)
     lengths = b_indptr[a_cols + 1] - b_indptr[a_cols]
-    flops = int(lengths.sum())
-    res = _parallel.parallel_mxm(
-        a, b_indptr, b_cols, b_vals, b_ncols, semiring, lengths, flops
-    )
-    if res is not None:
-        return res
-    if flops > FLOP_LIMIT:
-        return _tiled_mxm(a, b_indptr, b_cols, b_vals, b_ncols, semiring, lengths, flops)
+    if int(lengths.sum()) > FLOP_LIMIT:
+        return _tiled_mxm(a, b_indptr, b_cols, b_vals, b_ncols, semiring, lengths)
     return _expand_block(
         a_rows, a_cols, a_vals, b_indptr, b_cols, b_vals, semiring, a_nrows, b_ncols
     )
@@ -158,24 +162,18 @@ def scipy_plus_times_mxm(a, b):
         C.data,
     )
     # Structural product: which (i,j) must be present per GraphBLAS semantics.
-    # The repair pass is the Python-side cost of the SciPy fast path, so it is
-    # the part routed through the parallel kernel layer when large enough.
     c_keys = encode(c_rows, c_cols, b_ncols)
     order = np.argsort(c_keys, kind="stable")
     c_keys, c_vals = c_keys[order], c_vals[order]
-    p_keys = _parallel.parallel_structural_product(
-        a_rows, a_cols, b_rows, b_cols, a_nrows, b_nrows, b_ncols
+    Ap = sp.csr_matrix(
+        (np.ones(a_rows.size, np.int64), (a_rows, a_cols)), shape=A.shape
     )
-    if p_keys is None:
-        Ap = sp.csr_matrix(
-            (np.ones(a_rows.size, np.int64), (a_rows, a_cols)), shape=A.shape
-        )
-        Bp = sp.csr_matrix(
-            (np.ones(b_rows.size, np.int64), (b_rows, b_cols)), shape=B.shape
-        )
-        P = (Ap @ Bp).tocoo()
-        p_keys = encode(P.row.astype(np.int64), P.col.astype(np.int64), b_ncols)
-        p_keys.sort()
+    Bp = sp.csr_matrix(
+        (np.ones(b_rows.size, np.int64), (b_rows, b_cols)), shape=B.shape
+    )
+    P = (Ap @ Bp).tocoo()
+    p_keys = encode(P.row.astype(np.int64), P.col.astype(np.int64), b_ncols)
+    p_keys.sort()
     missing = p_keys[~in1d_sorted(p_keys, c_keys)]
     if missing.size:
         keys = np.concatenate([c_keys, missing])

@@ -11,44 +11,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphblas._kernels import parallel as _parallel
 from repro.graphblas._kernels.coo import segment_reduce
 from repro.util.validation import ReproError
 
 __all__ = ["mxv"]
 
 
-def mxv(a, u, semiring, indptr=None):
+def mxv(a, u, semiring):
     """``w = A ⊕.⊗ u``.
 
     Parameters
     ----------
     a : (rows, cols, values, nrows, ncols) canonical COO
     u : (indices, values, size) canonical sparse vector
-    indptr : optional cached CSR row pointer of A, used by the parallel
-        path to partition row blocks by nnz without recomputing it
 
     Returns ``(indices, values)`` of the canonical result vector.
     """
-    a_rows, a_cols, a_vals, a_nrows, a_ncols = a
+    a_rows, a_cols, a_vals, _a_nrows, a_ncols = a
     u_idx, u_vals, u_size = u
     if a_ncols != u_size:
         raise ReproError(f"mxv: A has {a_ncols} columns but u has size {u_size}")
 
-    if u_idx.size == 0 or a_rows.size == 0:
-        return np.zeros(0, np.int64), np.zeros(0, dtype=a_vals.dtype)
-
-    res = _parallel.parallel_mxv(a, u, semiring, indptr)
-    if res is not None:
-        return res
-    return _mxv_serial(a, u, semiring)
-
-
-def _mxv_serial(a, u, semiring):
-    """The single-block kernel; also runs per row block in parallel workers
-    (block outputs concatenate because rows never span blocks)."""
-    a_rows, a_cols, a_vals, _a_nrows, a_ncols = a
-    u_idx, u_vals, _u_size = u
     if u_idx.size == 0 or a_rows.size == 0:
         return np.zeros(0, np.int64), np.zeros(0, dtype=a_vals.dtype)
 

@@ -343,7 +343,6 @@ class Matrix:
             a._coo_tuple(),
             (vector._indices, vector._values, vector.size),
             semiring,
-            indptr=a._cache.get("indptr"),
         )
         res_dtype = semiring.output_dtype(self.dtype, vector.dtype)
         res = Vector(res_dtype, a.nrows)
@@ -409,9 +408,7 @@ class Matrix:
         desc = desc or _NULL_DESC
         a = self._input(desc.transpose_a)
         rdtype = self.dtype if dtype is None else _types.lookup(dtype)
-        t_idx, t_vals = reduce_rows(
-            a._rows, rdtype.cast(a._values), monoid, indptr=a._cache.get("indptr")
-        )
+        t_idx, t_vals = reduce_rows(a._rows, rdtype.cast(a._values), monoid)
         res = Vector(rdtype, a.nrows)
         return res._finalize(t_idx, t_vals, out, mask, accum, desc, rdtype)
 

@@ -1,6 +1,6 @@
 """repro.obs -- the unified observability subsystem.
 
-Three pillars threaded through every layer of the stack (DESIGN.md
+Two pillars threaded through every layer of the stack (DESIGN.md
 "Observability" has the span taxonomy and metric catalogue):
 
 * :mod:`repro.obs.trace` -- deterministic span tracing of one micro-batch
@@ -8,21 +8,13 @@ Three pillars threaded through every layer of the stack (DESIGN.md
   query``), exportable as Chrome trace-event JSON (``REPRO_TRACE``);
 * :mod:`repro.obs.metrics` -- typed counters/gauges/histograms
   (:class:`MetricsRegistry`) with Prometheus text exposition, merged into
-  ``GraphService.stats()`` / ``ShardedGraphService.stats()``;
-* :mod:`repro.obs.kernels` -- per-kernel work/wall/imbalance profiling of
-  fork-join regions, surviving the fork-once worker pool
-  (``REPRO_PROFILE_KERNELS``).
+  ``GraphService.stats()`` / ``ShardedGraphService.stats()``.
 
-Everything is disabled-by-default cheap: the tracer and profiler slots
-hold ``None`` until an env knob or an explicit ``set_*`` installs one,
-and every instrumentation site guards on that single lookup.
+Tracing is disabled-by-default cheap: the tracer slot holds ``None``
+until ``REPRO_TRACE`` or :func:`set_tracer` installs one, and every
+instrumentation site guards on that single lookup.
 """
 
-from repro.obs.kernels import (
-    KernelProfiler,
-    get_kernel_profiler,
-    set_kernel_profiler,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -55,7 +47,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "render_prometheus",
-    "KernelProfiler",
-    "get_kernel_profiler",
-    "set_kernel_profiler",
 ]

@@ -23,14 +23,13 @@ Design constraints, in order:
   every instrumentation site guards on one :func:`get_tracer` call and
   skips all span work when it returns ``None``;
 * **deterministic** -- no RNG anywhere: span ids come from a monotone
-  counter, and the spans the serving layer *measures on worker threads*
-  (engine refreshes) are recorded post-hoc in the fixed engine-commit
-  order via :meth:`Tracer.record`, so a serial-configuration run produces
-  an identical span log every time;
+  counter, and engine refreshes are recorded post-hoc via
+  :meth:`Tracer.record` in the fixed engine registration order, so a
+  single-threaded run produces an identical span log every time;
 * **thread-safe** -- span starts/ends touch the tracer under one lock;
   parent linkage flows through a :mod:`contextvars` current-span slot
   within a thread and is passed explicitly across thread boundaries (the
-  sharded scatter pool, the engine fan-out).
+  sharded scatter pool).
 
 Export targets: :meth:`Tracer.chrome_trace` emits the Chrome trace-event
 JSON object (open it in ``chrome://tracing`` or Perfetto), and
@@ -163,10 +162,9 @@ class Tracer:
                parent: Optional[Span] = None, **attrs) -> int:
         """Append a span measured elsewhere (post-hoc; no open state).
 
-        The serving layer's engine refreshes run on fan-out worker threads
-        but are *recorded* here from the deterministic commit loop, so the
-        span log order is reproducible regardless of thread scheduling.
-        Returns the assigned span id.
+        The serving layer times each engine refresh itself and records it
+        here once the refresh returns or raises, with an explicit parent
+        and a ``status`` attribute.  Returns the assigned span id.
         """
         if parent is None:
             parent = _current.get()
@@ -335,8 +333,7 @@ def get_tracer() -> Optional[Tracer]:
 
     This is THE hot-path guard: instrumentation sites call it once per
     operation and do nothing when it returns ``None``.  Lazily installs a
-    tracer on first call when ``REPRO_TRACE`` is set (mirroring the
-    kernel executor's ``REPRO_WORKERS`` idiom).
+    tracer on first call when ``REPRO_TRACE`` is set.
     """
     t = _slot["tracer"]
     if t is not None or _slot["env_checked"]:

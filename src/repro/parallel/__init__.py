@@ -10,10 +10,9 @@ thread, per-region process-pool and per-region fork-join executors exist
 for the ablation benchmark that documents this substitution chain
 (``benchmarks/bench_ablation_parallel.py``).
 
-Since the multicore kernel layer landed, the same pool also serves as the
-process-wide *kernel executor* (:mod:`repro.graphblas._kernels.parallel`,
-``REPRO_WORKERS``): comment-granularity parallelism here, row-block
-kernel parallelism there, one worker-pool mechanism underneath both.
+The pool's length-prefixed pickle frames (:func:`~repro.parallel.pool.
+send_frame` / :func:`~repro.parallel.pool.recv_frame`) are also the wire
+format of the process-per-shard RPC in :mod:`repro.sharding`.
 """
 
 from repro.parallel.executor import (

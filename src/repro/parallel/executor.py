@@ -33,10 +33,7 @@ __all__ = [
 
 def even_bounds(total: int, n_chunks: int) -> np.ndarray:
     """The split bounds :func:`chunk_evenly` uses: ``n_chunks + 1`` even
-    int64 cut points over ``[0, total]``.  Exposed on its own because the
-    kernel layer (:mod:`repro.graphblas._kernels.parallel`) applies the same
-    bounds logic to a CSR ``indptr`` to balance row blocks by *nnz* rather
-    than by row count."""
+    int64 cut points over ``[0, total]``."""
     return np.linspace(0, total, n_chunks + 1).astype(np.int64)
 
 

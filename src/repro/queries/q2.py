@@ -17,7 +17,8 @@ new friendship joins two likers (found with the NewFriends incidence-matrix
 product, select(==2), row-wise OR) -- and re-score only those.
 
 Per the paper's evaluation, the per-comment loop is parallelisable at
-comment granularity; pass an :class:`~repro.parallel.Executor`.
+comment granularity: pass an :class:`~repro.parallel.Executor` (the Fig. 5
+"8 thr" tools pass a fork-once pool).  Without one, scoring is serial.
 
 ``algorithm`` selects the component kernel:
 
@@ -36,7 +37,6 @@ import numpy as np
 from repro.graphblas import monoid as _monoid
 from repro.graphblas import ops as _ops
 from repro.graphblas import semiring as _semiring
-from repro.graphblas._kernels import parallel as _kparallel
 from repro.graphblas.matrix import Matrix
 from repro.graphblas.types import BOOL, INT64
 from repro.graphblas.vector import Vector
@@ -201,39 +201,18 @@ def score_comments(
         friends._cols,
         algorithm,
     )
-    # Engine-owned executors win; otherwise fall back to the process-wide
-    # kernel executor (REPRO_WORKERS), which is shared across engines and
-    # therefore driven through the kernel layer's region lock.  Only
-    # fork-isolated pools qualify: _score_chunk re-enters routed kernels
-    # (FastSV -> mxm/mxv), which an in-process worker would deadlock on
-    # while the dispatcher holds the region lock.
-    shared = False
-    if executor is None:
-        kex = _kparallel.get_kernel_executor()
-        if kex is not None and _kparallel.executor_isolates_workers(kex):
-            executor = kex
-            shared = True
-    if executor is None:
-        executor = SerialExecutor()
     # A parallel region cannot amortise its spawn cost on small inputs
     # (the paper: updates are small, so parallel gains little there).
-    min_items = getattr(executor, "MIN_PARALLEL_ITEMS", 0)
-    if comments.size < min_items:
+    if executor is None or comments.size < getattr(executor, "MIN_PARALLEL_ITEMS", 0):
         executor = SerialExecutor()
-        shared = False
     n_chunks = max(1, min(executor.workers * 4, comments.size))
     # Strided (round-robin) chunking: comment popularity is heavy-tailed and
     # correlated with index (early = hot), so contiguous chunks would load a
     # single worker with all the expensive subgraphs.
     chunks = [comments[i::n_chunks] for i in range(n_chunks)]
-    if shared:
-        results = _kparallel.locked_map(
-            executor, _score_chunk, chunks, initializer=_init_worker, initargs=initargs
-        )
-    else:
-        results = executor.map_chunks(
-            _score_chunk, chunks, initializer=_init_worker, initargs=initargs
-        )
+    results = executor.map_chunks(
+        _score_chunk, chunks, initializer=_init_worker, initargs=initargs
+    )
     out: dict[int, int] = {}
     for ids, scores in results:
         out.update(zip(ids.tolist(), scores.tolist()))

@@ -80,9 +80,9 @@ class OpMetrics:
     """A named registry of :class:`LatencyStats` with a timing helper.
 
     Thread-safe: the serving layer records from the submit path, the
-    background flusher, and (with concurrent engine fan-out) refresh worker
-    threads; a single lock covers registry access and the non-atomic
-    reservoir update inside :meth:`LatencyStats.record`.
+    background flusher and reader threads; a single lock covers registry
+    access and the non-atomic reservoir update inside
+    :meth:`LatencyStats.record`.
 
     >>> m = OpMetrics()
     >>> with m.timed("query"):

@@ -9,9 +9,9 @@ for and the offline benchmark harness is not: a long-running owner of one
   :class:`~repro.model.changes.ChangeSet`\\ s through a micro-batching
   queue (coalesce ``max_batch`` changes or ``max_delay_ms``, whichever
   first -- see :mod:`repro.serving.ingest`);
-* applies each coalesced batch to the graph **exactly once** and fans the
-  resulting :class:`~repro.model.graph.GraphDelta` out to every engine
-  (the GraphBLAS query and analytics engines consume the delta via
+* applies each coalesced batch to the graph **exactly once** and hands
+  the resulting :class:`~repro.model.graph.GraphDelta` to every engine in
+  turn (the GraphBLAS query and analytics engines consume the delta via
   ``refresh`` -- the :class:`~repro.queries.engine.EngineBase` protocol --
   the NMF engines mirror the raw change set into their object model);
 * optionally serves the :mod:`repro.lagraph` algorithm layer the same way:
@@ -41,20 +41,16 @@ edge instead of poisoning the log or a half-applied batch.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.analytics.engine import ANALYTICS_NAMES, make_analytics_engine
 from repro.faults import fire as _fire_fault
 from repro.faults import register_crash_point
-from repro.graphblas._kernels import parallel as _kparallel
 from repro.model.changes import Change, ChangeSet
 from repro.model.graph import SocialGraph
-from repro.obs.kernels import get_kernel_profiler
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.trace import current_span, get_tracer, span_if, trace_output_path
-from repro.parallel.executor import Executor
 from repro.queries.engine import TOOL_NAMES, make_engine
 from repro.serving.cache import CachedResult, ResultCache
 from repro.serving.ingest import MicroBatcher, SubmitGate, coerce_changes
@@ -85,7 +81,7 @@ class GraphService:
     :data:`repro.analytics.ANALYTICS_NAMES`): long-running
     :class:`~repro.analytics.AnalyticsEngine`\\ s maintaining a
     :mod:`repro.lagraph` algorithm over the friends graph.  They ride the
-    same fan-out, cache, metrics and recovery machinery; dirty-threshold
+    same refresh loop, cache, metrics and recovery machinery; dirty-threshold
     tools may serve a slightly stale result, tagged on every read as
     :attr:`~repro.serving.cache.CachedResult.computed_version`.
 
@@ -105,11 +101,6 @@ class GraphService:
     >>> svc.close()
     """
 
-    #: fan engine refreshes out to threads only when their last measured
-    #: combined refresh time clears this (else thread dispatch overhead
-    #: dominates -- the sub-millisecond single-change micro-batch regime)
-    MIN_FANOUT_REFRESH_S = 5e-3
-
     def __init__(
         self,
         graph: Optional[SocialGraph] = None,
@@ -121,7 +112,6 @@ class GraphService:
         analytics_threshold: float = 0.1,
         k: int = 3,
         q2_algorithm: str = "fastsv",
-        executor: Optional[Executor] = None,
         max_batch: int = 256,
         max_delay_ms: float = 50.0,
         max_pending: Optional[int] = None,
@@ -130,7 +120,6 @@ class GraphService:
         keep_snapshots: int = 2,
         wal_sync: bool = True,
         auto_flush: bool = False,
-        concurrent_refresh: bool = True,
         shard: Optional[tuple[int, int]] = None,
         _start_version: int = 0,
         _allow_existing: bool = False,
@@ -217,7 +206,7 @@ class GraphService:
         for tool in self.tools:
             for query in self.queries:
                 self._engines[(query, tool)] = make_engine(
-                    tool, query, k=k, executor=executor, q2_algorithm=q2_algorithm
+                    tool, query, k=k, q2_algorithm=q2_algorithm
                 )
         # analytics engines are registered under (name, name): the tool IS
         # the query, so query("pagerank") reads its cache entry directly
@@ -226,44 +215,12 @@ class GraphService:
                 name, k=k, recompute_threshold=analytics_threshold, partition=shard
             )
 
-        # Parallel machinery.  The kernel executor (REPRO_WORKERS) forks its
-        # workers *now*, before engines load and the heap grows -- the same
-        # place OpenMP pays its thread-spawn cost.  The service holds one
-        # shared reference so teardown can stop the workers once the last
-        # holder closes, without closing a caller-installed executor.  The
-        # fan-out pool refreshes independent engines concurrently per batch.
-        self._kex_retained = False
-        kex = _kparallel.retain_kernel_executor()
-        if kex is not None:
-            self._kex_retained = True
-            try:
-                if hasattr(kex, "start"):
-                    kex.start()
-            except BaseException:
-                # a failed fork must not wedge the refcount above zero
-                self._teardown_parallel()
-                raise
-        self._fanout: Optional[ThreadPoolExecutor] = None
-        if concurrent_refresh and len(self._engines) > 1:
-            self._fanout = ThreadPoolExecutor(
-                max_workers=len(self._engines), thread_name_prefix="engine-refresh"
-            )
-        #: last measured per-engine refresh seconds (seeded by the initial
-        #: evaluations) -- the fan-out amortisation estimate
-        self._last_refresh_s: dict[tuple[str, str], float] = {}
+        self._load_engines()
 
-        try:
-            self._load_engines()
-
-            # a fresh persistent service writes its baseline snapshot so a
-            # crash before the first periodic snapshot is still recoverable
-            if self._store is not None and not self._store.versions():
-                self.snapshot()
-        except BaseException:
-            # failed construction must not strand the retained kernel
-            # executor (refcount wedged above zero => orphaned workers)
-            self._teardown_parallel()
-            raise
+        # a fresh persistent service writes its baseline snapshot so a
+        # crash before the first periodic snapshot is still recoverable
+        if self._store is not None and not self._store.versions():
+            self.snapshot()
 
         self._flusher: Optional[_Flusher] = None
         if auto_flush:
@@ -281,7 +238,6 @@ class GraphService:
                 t0 = WallClock.now()
                 result_string = engine.initial()
                 dt = WallClock.now() - t0
-            self._last_refresh_s[(query, tool)] = dt
             self._cache.put(
                 CachedResult(
                     query=query,
@@ -432,9 +388,7 @@ class GraphService:
         failed and every later operation raises -- in particular no later
         batch can reuse this batch's WAL version number.  The durable
         state stays sound: the frame is already committed, and
-        :meth:`recover` replays it in full.  The failure path also tears
-        down the parallel machinery so a crashed apply never strands
-        forked kernel workers.
+        :meth:`recover` replays it in full.
         """
         next_version = self.version + 1
         tr = get_tracer()
@@ -458,7 +412,6 @@ class GraphService:
                     self._refresh_engines(batch, delta, next_version)
         except BaseException:
             self._failed = True
-            self._teardown_parallel()
             raise
         self.version = next_version
         self._gate.clear()
@@ -470,78 +423,37 @@ class GraphService:
             self.snapshot()
 
     # ------------------------------------------------------------------
-    # engine fan-out
+    # engine refresh
     # ------------------------------------------------------------------
 
     def _refresh_engines(self, batch: ChangeSet, delta, next_version: int) -> None:
-        """Fan one applied delta out to every engine; commit deterministically.
+        """Refresh every engine with one applied delta and publish its result.
 
-        With the fan-out pool, engines refresh concurrently -- keyed
-        futures, one per group of engines that can safely run in parallel
-        (engines sharing a user-provided parallel executor are grouped
-        serially; the pipe-per-worker pools are single-region).  Outcomes
-        are *committed* (metrics + cache) in the fixed engine registration
-        order regardless of completion order, so the versioned cache and
-        the per-engine ``refresh[tool]`` metrics stay reproducible.  The
-        first engine failure, also in that order, re-raises into the
-        fail-stop path.
-
-        Adaptive: like the kernel-layer cutoff, the fan-out only engages
-        when the engines' last measured combined refresh time clears
-        :data:`MIN_FANOUT_REFRESH_S` -- sub-millisecond micro-batch
-        refreshes would otherwise pay more in thread dispatch than they
-        can win back in overlap.
+        One loop in engine registration order: refresh the engine, record
+        its ``refresh`` span under the enclosing ``batch`` span, then its
+        ``refresh[tool]`` latency, staleness gauge and versioned cache
+        entry.  The first engine that raises propagates into the fail-stop
+        path of :meth:`_apply`; later engines are not refreshed.
         """
-        engines = list(self._engines.items())
         tr = get_tracer()
-        # the enclosing "batch" span; refresh spans are recorded post-hoc
-        # below with this explicit parent (worker threads must not rely on
-        # the contextvar -- it does not propagate into the fan-out pool)
-        parent = current_span()
-        est = sum(self._last_refresh_s.get(key, 0.0) for key, _ in engines)
-        if (
-            self._fanout is None
-            or len(engines) == 1
-            or est < self.MIN_FANOUT_REFRESH_S
-        ):
-            outcomes = self._refresh_group(engines, batch, delta)
-        else:
-            # Freeze the shared graph once in this thread: the relation
-            # arenas mutate on first read after an apply, and concurrent
-            # first reads from engine threads would race on the freeze.
-            _ = (
-                self.graph.root_post,
-                self.graph.likes,
-                self.graph.friends,
-                self.graph.commented,
-            )
-            groups: dict[int, list] = {}
-            for key, engine in engines:
-                ex = getattr(engine, "executor", None)
-                gid = id(ex) if ex is not None else id(engine)
-                groups.setdefault(gid, []).append((key, engine))
-            futures = [
-                self._fanout.submit(self._refresh_group, members, batch, delta)
-                for members in groups.values()
-            ]
-            outcomes = {}
-            for fut in futures:
-                outcomes.update(fut.result())
-        with span_if(tr, "commit", parent=parent, version=next_version):
-            for (query, tool), engine in engines:
-                outcome = outcomes.get((query, tool))
-                if outcome is None:  # skipped after an earlier failure in its group
-                    continue
-                status, payload, top, dt, t0 = outcome
-                if tr is not None:
-                    # recorded here, in registration order, not on the worker
-                    # thread that measured it: the span log stays reproducible
-                    # regardless of fan-out scheduling
-                    tr.record("refresh", t0, dt, parent=parent,
-                              query=query, tool=tool, status=status)
-                if status == "err":
-                    raise payload
-                self._last_refresh_s[(query, tool)] = dt
+        parent = current_span()  # "batch": refresh spans hang beside "commit"
+        with span_if(tr, "commit", version=next_version):
+            for (query, tool), engine in self._engines.items():
+                status = "err"
+                t0 = WallClock.now()
+                try:
+                    if hasattr(engine, "refresh"):
+                        result_string = engine.refresh(delta)
+                    else:
+                        # NMF engines mirror the change set into their own
+                        # object model; the shared graph is already updated
+                        result_string = engine.update(batch)
+                    status = "ok"
+                finally:
+                    dt = WallClock.now() - t0
+                    if tr is not None:
+                        tr.record("refresh", t0, dt, parent=parent,
+                                  query=query, tool=tool, status=status)
                 self._metrics.record(f"refresh[{tool}]", dt)
                 staleness = getattr(engine, "staleness", 0)
                 self.registry.gauge(
@@ -552,8 +464,8 @@ class GraphService:
                         query=query,
                         tool=tool,
                         version=next_version,
-                        top=tuple(top),
-                        result_string=payload,
+                        top=tuple(engine.last_top),
+                        result_string=result_string,
                         compute_seconds=dt,
                         # dirty-threshold analytics engines may serve a result
                         # computed `staleness` batches ago; query engines are
@@ -561,35 +473,6 @@ class GraphService:
                         computed_version=next_version - staleness,
                     )
                 )
-
-    @staticmethod
-    def _refresh_group(members, batch: ChangeSet, delta) -> dict:
-        """Refresh a group of engines sequentially (worker-thread body).
-
-        Exceptions are captured per engine, not raised: the caller decides
-        the deterministic failure order after all groups complete.
-        """
-        outcomes: dict = {}
-        for key, engine in members:
-            t0 = WallClock.now()
-            try:
-                if hasattr(engine, "refresh"):
-                    result_string = engine.refresh(delta)
-                else:
-                    # NMF engines mirror the change set into their own
-                    # object model; the shared graph is already updated
-                    result_string = engine.update(batch)
-            except BaseException as exc:
-                outcomes[key] = ("err", exc, (), WallClock.now() - t0, t0)
-                break
-            outcomes[key] = (
-                "ok",
-                result_string,
-                list(engine.last_top),
-                WallClock.now() - t0,
-                t0,
-            )
-        return outcomes
 
     # ------------------------------------------------------------------
     # submit-time validation (keeps the WAL free of unappliable batches)
@@ -685,14 +568,12 @@ class GraphService:
 
     def stats(self) -> dict:
         """Operational snapshot: version, queue, graph, per-op latencies,
-        typed metrics (``"metrics"``), cache counters (``"ops"]["cache"``)
-        and -- when ``REPRO_PROFILE_KERNELS`` is on -- per-kernel
-        profiling aggregates (``"kernels"``)."""
+        typed metrics (``"metrics"``) and cache counters
+        (``"ops"]["cache"``)."""
         with self._lock:
             self._update_storage_gauge()
             ops = self._metrics.summary()
             ops["cache"] = self._cache.stats()
-            prof = get_kernel_profiler()
             return {
                 "version": self.version,
                 "pending": self._batcher.pending,
@@ -706,7 +587,6 @@ class GraphService:
                 "storage": self.graph.storage_stats(),
                 "ops": ops,
                 "metrics": self.registry.snapshot(),
-                "kernels": prof.summary() if prof is not None else {},
                 "persistent": self._store is not None,
                 "snapshots": self._store.versions() if self._store else [],
                 "recovered_from": self._recovered_from,
@@ -780,7 +660,6 @@ class GraphService:
             self._wal.close()
         for engine in self._engines.values():
             engine.close()
-        self._teardown_parallel()
         # REPRO_TRACE=<path>: the accumulated Chrome trace lands on disk at
         # shutdown (idempotent across services sharing the process tracer)
         out = trace_output_path()
@@ -788,23 +667,6 @@ class GraphService:
             tr = get_tracer()
             if tr is not None:
                 tr.dump(out)
-
-    def _teardown_parallel(self) -> None:
-        """Stop the fan-out threads and release the forked kernel workers.
-
-        Idempotent; called from :meth:`close` and from the fail-stop path
-        so neither a graceful shutdown nor a crashed apply leaves orphaned
-        child processes.  The kernel executor is process-wide and
-        reference-counted: this drops the service's reference, and the
-        workers are closed when the last holder lets go (an explicitly
-        installed executor stays caller-owned and is never closed here).
-        """
-        if self._fanout is not None:
-            self._fanout.shutdown(wait=True, cancel_futures=True)
-            self._fanout = None
-        if self._kex_retained:
-            self._kex_retained = False
-            _kparallel.release_kernel_executor()
 
     def _check_open(self) -> None:
         if self._failed:

@@ -3,8 +3,8 @@
 The horizontal-scale axis of the ROADMAP's serving north star: the graph
 itself is partitioned (see :mod:`repro.sharding.partition`) across K
 :class:`~repro.serving.service.GraphService` shards -- each with its own
-:class:`~repro.model.graph.SocialGraph` arenas, engine registry, WAL +
-snapshot directory and kernel workers -- and a thin router owns the write
+:class:`~repro.model.graph.SocialGraph` arenas, engine registry and WAL +
+snapshot directory -- and a thin router owns the write
 path, the consistency barrier and the scatter-gather read path:
 
 writes
@@ -207,7 +207,6 @@ class ShardedGraphService:
         wal_sync: bool = True,
         auto_flush: bool = False,
         concurrent_scatter: bool = True,
-        concurrent_refresh: bool = True,
         _shard_services: Optional[list] = None,
     ):
         if shards is None:
@@ -320,7 +319,6 @@ class ShardedGraphService:
                         snapshot_every=snapshot_every,
                         keep_snapshots=keep_snapshots,
                         wal_sync=wal_sync,
-                        concurrent_refresh=concurrent_refresh,
                         shard=(i, shards),
                     )
                     build = _ShardBuilder(
@@ -417,7 +415,6 @@ class ShardedGraphService:
             for key in (
                 "queries", "tools", "analytics", "analytics_threshold", "k",
                 "q2_algorithm", "snapshot_every", "keep_snapshots", "wal_sync",
-                "concurrent_refresh",
             )
             if key in kwargs
         }
@@ -795,10 +792,9 @@ class ShardedGraphService:
 
         A fail-stopped router is dead weight until ``recover``; without
         this, an abandoned one leaks its scatter-pool threads, the healthy
-        shards' fan-out threads and -- under the process backend -- whole
+        shards' open files and -- under the process backend -- whole
         worker processes (the suite-wide leak fixture is the regression
-        test).  Mirrors ``GraphService._teardown_parallel`` on the shard
-        level.  The flusher (daemon) is left to its ``_failed`` guard:
+        test).  The flusher (daemon) is left to its ``_failed`` guard:
         joining it here could deadlock on the router lock.
         """
         if self._scatter_pool is not None:

@@ -13,13 +13,11 @@ and then answer :mod:`repro.sharding.handle` RPC frames until a
 Fork hygiene, in request order of importance:
 
 * **exit only via ``os._exit``** -- the parent's ``atexit`` registry is
-  inherited and must never run here (it would close the kernel pool's
-  shared pipes out from under the parent);
+  inherited and must never run here (it would close any
+  :class:`~repro.parallel.PersistentWorkerPool` the parent started, out
+  from under the parent);
 * **close inherited parent-side pipe ends** of every sibling handle, so
   a dead parent/sibling produces EOF instead of orphaned workers;
-* **never touch the parent's kernel executor** -- the refcounted slot in
-  :mod:`repro.graphblas._kernels.parallel` already refuses foreign pids,
-  so shard-local kernels simply run serially inside the worker;
 * **own the telemetry locally** -- the inherited tracer's span log is
   cleared at boot (the parent keeps the originals) and drained into
   every reply envelope; ``REPRO_TRACE`` is scrubbed from the child

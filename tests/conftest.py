@@ -91,33 +91,20 @@ def paper_update() -> ChangeSet:
 # ---------------------------------------------------------------------------
 # suite-wide leak check
 #
-# The repo now forks child processes in three places (the kernel worker
-# pool, per-shard worker processes, the fault suites' crash simulations)
-# and fans out over thread pools in two more.  Every test must hand back a
-# quiet process: no orphaned/zombie children, no non-daemon threads.  This
-# generalises the PR 3 "crashed apply leaves no forked children"
-# regression test to the entire suite.
+# The repo forks child processes (comment-granularity executor pools,
+# per-shard worker processes, the fault suites' crash simulations) and
+# fans out over thread pools.  Every test must hand back a quiet process:
+# no child process of any kind, no non-daemon threads.
 # ---------------------------------------------------------------------------
 
 
-def _allowed_child_pids() -> set:
-    """Children that legitimately outlive a single test: the refcounted
-    process-wide kernel executor's fork-once workers."""
-    from repro.graphblas._kernels import parallel as _kparallel
-
-    ex = _kparallel._state.get("executor")
-    children = getattr(ex, "_children", None) or ()
-    return {child[0] for child in children}
-
-
 def _leaked_children() -> list:
-    """(pid, state) of live or zombie children of this process, minus the
-    allowed set -- scanned from /proc so no psutil dependency."""
+    """(pid, state) of live or zombie children of this process -- scanned
+    from /proc so no psutil dependency."""
     me = os.getpid()
-    allowed = _allowed_child_pids()
     leaked = []
     for entry in os.listdir("/proc"):
-        if not entry.isdigit() or int(entry) in allowed:
+        if not entry.isdigit():
             continue
         try:
             with open(f"/proc/{entry}/stat") as fh:

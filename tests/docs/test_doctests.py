@@ -20,7 +20,6 @@ SURFACE = {
     "repro.serving.cache": ("CachedResult", "ResultCache"),
     "repro.queries.engine": ("EngineBase", "QueryEngine"),
     "repro.analytics.engine": (),  # module-level example
-    "repro.graphblas._kernels.parallel": ("set_kernel_executor",),
     "repro.faults": (),  # module-level example
     "repro.storage": (),  # module-level example
     "repro.replication.service": ("ReplicatedGraphService",),
@@ -30,7 +29,6 @@ SURFACE = {
     "repro.sharding.merge": ("merge_topk_entries", "merge_partition_partials"),
     "repro.obs.trace": (),  # module-level example
     "repro.obs.metrics": (),  # module-level example
-    "repro.obs.kernels": (),  # module-level example
 }
 
 

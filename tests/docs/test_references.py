@@ -29,7 +29,7 @@ def test_readme_exists_and_fronts_the_repo():
     assert "Elekes" in text and "DESIGN.md" in text
     for section in ("Quickstart", "Running the tests", "Benchmarks", "Environment"):
         assert section in text, f"README lost its {section} section"
-    for knob in ("REPRO_WORKERS", "REPRO_PARALLEL_CUTOFF"):
+    for knob in ("REPRO_STORAGE", "REPRO_SHARDS"):
         assert knob in text
 
 

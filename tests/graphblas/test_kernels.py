@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graphblas import ops
-from repro.graphblas._kernels import coo, csr, merge, reduce as red
+from repro.graphblas import semiring as sem
+from repro.graphblas._kernels import coo, csr, merge, reduce as red, spgemm
 from repro.graphblas.monoid import min_monoid, plus_monoid
 from repro.util.validation import ReproError
 
@@ -185,3 +186,37 @@ class TestSpgemmGuards:
         )
         with pytest.raises(ReproError):
             spgemm.generic_mxm(a, b, semiring.plus_times)
+
+
+def rand_coo(rng, nrows, ncols, nnz):
+    rows = rng.integers(0, nrows, nnz)
+    cols = rng.integers(0, ncols, nnz)
+    vals = rng.integers(-3, 4, nnz)
+    r, c, v = coo.canonicalize_matrix(rows, cols, vals, nrows, ncols, dup_op=ops.plus)
+    return (r, c, v, nrows, ncols)
+
+
+class TestTiledMxm:
+    def test_over_limit_degrades_to_tiles(self, monkeypatch):
+        """Totals above FLOP_LIMIT row-tile instead of failing (the former
+        hard ReproError), and the tiled result is identical."""
+        rng = np.random.default_rng(11)
+        a = rand_coo(rng, 120, 80, 900)
+        b = rand_coo(rng, 80, 100, 900)
+        want = spgemm.generic_mxm(a, b, sem.get("plus_times"))
+        monkeypatch.setattr(spgemm, "FLOP_LIMIT", 500)
+        got = spgemm.generic_mxm(a, b, sem.get("plus_times"))
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g) and w.dtype == g.dtype
+
+    def test_single_dense_row_still_raises(self, monkeypatch):
+        """A single row that alone exceeds the limit cannot be tiled."""
+        monkeypatch.setattr(spgemm, "FLOP_LIMIT", 2)
+        a = coo.canonicalize_matrix(
+            np.array([0, 0]), np.array([0, 1]), np.array([1, 1]), 1, 2
+        )
+        b = coo.canonicalize_matrix(
+            np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.ones(4), 2, 2
+        )
+        with pytest.raises(ReproError, match="single output row"):
+            spgemm.generic_mxm((*a, 1, 2), (*b, 2, 2), sem.get("plus_times"))

@@ -134,8 +134,7 @@ class TestShardedAcceptance:
 class TestSingleServiceTaxonomy:
     def test_write_path_span_nesting(self, _fresh_tracer):
         t = _fresh_tracer
-        svc = GraphService(tools=TOOLS, max_batch=10**9, max_delay_ms=1e9,
-                           concurrent_refresh=False)
+        svc = GraphService(tools=TOOLS, max_batch=10**9, max_delay_ms=1e9)
         t.clear()
         svc.submit([AddUser(1), AddUser(2)])
         svc.flush()
@@ -165,7 +164,7 @@ class TestSingleServiceTaxonomy:
             set_tracer(t)
             svc = GraphService(
                 tools=TOOLS, analytics=("degree",),
-                max_batch=10**9, max_delay_ms=1e9, concurrent_refresh=False,
+                max_batch=10**9, max_delay_ms=1e9,
             )
             t.clear()
             svc.submit(_one_batch())

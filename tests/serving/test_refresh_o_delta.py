@@ -91,7 +91,6 @@ def counted(monkeypatch):
         generate_graph(1, seed=3),
         tools=("graphblas-incremental",),
         q2_algorithm="unionfind",
-        concurrent_refresh=False,
         max_delay_ms=1e9,
     )
     yield svc, calls
