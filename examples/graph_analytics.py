@@ -66,13 +66,14 @@ def main() -> None:
         print("\nfinal state:")
         dashboard(svc)
 
-        ops = svc.stats()["ops"]
+        ops = svc.stats()["metrics"]["repro_op_latency_seconds"]
         print("\nmaintenance cost per applied batch (p50 ms):")
         for name in ANALYTICS:
-            s = ops[f"refresh[{name}]"]
-            print(f"  {name:<12} {s['p50_ms']:>8.3f}  (count {s['count']})")
-        print(f"  apply p50 {ops['apply']['p50_ms']:.3f} ms, "
-              f"read p99 {ops['query']['p99_ms']:.4f} ms")
+            s = ops[f'op="refresh[{name}]"']
+            print(f"  {name:<12} {s['p50'] * 1e3:>8.3f}  (count {s['count']})")
+        apply, read = ops['op="apply"'], ops['op="query"']
+        print(f"  apply p50 {apply['p50'] * 1e3:.3f} ms, "
+              f"read p99 {read['p99'] * 1e3:.4f} ms")
     finally:
         svc.close()
 

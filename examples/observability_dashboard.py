@@ -10,8 +10,8 @@ telemetry the observability layer offers is live:
   ``chrome://tracing`` or Perfetto;
 * each step re-renders a plain-text dashboard from the services' typed
   metric registries (queue depth, batch sizes, WAL bytes, cache hit
-  rate, shard fan-out balance) plus the ``OpMetrics`` latency
-  percentiles -- the same numbers ``metrics_text()`` serves as
+  rate, shard fan-out balance, ``repro_op_latency_seconds`` per-op
+  latency percentiles) -- the same numbers ``metrics_text()`` serves as
   Prometheus exposition;
 * the slowest span tree of the run is replayed at the end as an
   indented waterfall, straight from the structured span log.
@@ -34,11 +34,8 @@ def render_dashboard(step: int, service: ShardedGraphService) -> None:
     """One plain-text frame from the live registries."""
     stats = service.stats()
     m = stats["metrics"]
-    ops = stats["ops"]
-    cache_rates = []
-    for shard in service._shards:
-        c = shard.stats()["ops"]["cache"]
-        cache_rates.append(c["hit_rate"])
+    ops = m["repro_op_latency_seconds"]
+    cache_rates = [shard.stats()["cache"]["hit_rate"] for shard in service._shards]
     batch = m.get("repro_batch_size", {})
     skew = m.get("repro_scatter_skew", {})
     fanout = m.get("repro_shard_changes_total", {})
@@ -61,11 +58,12 @@ def render_dashboard(step: int, service: ShardedGraphService) -> None:
         "   cache hit-rate per shard  "
         + "  ".join(f"{r:.2f}" for r in cache_rates)
     )
-    if "scatter" in ops:
+    scatter, read = ops['op="scatter"'], ops['op="query"']
+    if scatter["count"]:
         print(
-            f"   scatter p50 {ops['scatter']['p50_ms']:7.2f} ms   "
-            f"p99 {ops['scatter']['p99_ms']:7.2f} ms   "
-            f"read p99 {ops['query']['p99_ms']:.4f} ms"
+            f"   scatter p50 {scatter['p50'] * 1e3:7.2f} ms   "
+            f"p99 {scatter['p99'] * 1e3:7.2f} ms   "
+            f"read p99 {read['p99'] * 1e3:.4f} ms"
         )
 
 

@@ -83,17 +83,18 @@ def main(scale_factor: int = 4) -> None:
             )
             shown_version = top_posts.version
 
-        ops = service.stats()["ops"]
-        inc_total = ops["apply"]["total_s"]
+        ops = service.stats()["metrics"]["repro_op_latency_seconds"]
+        reads = ops['op="query"']
+        inc_total = ops['op="apply"']["sum"]
         speedup = batch_total / max(inc_total, 1e-9)
         print(
             f"\nstream total: service apply {inc_total:.3f}s, "
             f"recomputation {batch_total:.3f}s  ({speedup:.1f}x saved)"
         )
         print(
-            f"reads: {ops['query']['count']} served, "
-            f"p50 {ops['query']['p50_ms']:.4f} ms, "
-            f"p99 {ops['query']['p99_ms']:.4f} ms"
+            f"reads: {reads['count']} served, "
+            f"p50 {reads['p50'] * 1e3:.4f} ms, "
+            f"p99 {reads['p99'] * 1e3:.4f} ms"
         )
         final_q1 = service.query("Q1").result_string
 

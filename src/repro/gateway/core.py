@@ -69,7 +69,6 @@ from repro.model.changes import Change, ChangeSet
 from repro.obs.metrics import MetricsRegistry, merge_expositions, render_prometheus
 from repro.obs.trace import get_tracer, span_if
 from repro.serving.ingest import QueueFull, coerce_changes
-from repro.serving.metrics import OpMetrics
 from repro.util.timer import WallClock
 from repro.util.validation import DeadlineExceeded, ReproError
 
@@ -219,8 +218,20 @@ class Gateway:
         self._subs: List[Subscription] = []
         self._last_published = getattr(service, "version", 0)
 
-        self.registry = MetricsRegistry()
-        self._metrics = OpMetrics()
+        #: gateway metrics and op latencies; hot-path instruments are
+        #: resolved once, here
+        self.registry = reg = MetricsRegistry()
+        self._t_admit = reg.histogram("repro_op_latency_seconds", op="admit")
+        self._t_pump = reg.histogram("repro_op_latency_seconds", op="pump")
+        self._t_read = reg.histogram("repro_op_latency_seconds", op="read")
+        self._queue_depth = reg.gauge("repro_gateway_queue_depth")
+        self._queue_wait = reg.histogram("repro_gateway_queue_wait_seconds")
+        self._admitted_submit = reg.counter(
+            "repro_gateway_admitted_total", kind="submit"
+        )
+        self._admitted_read = reg.counter(
+            "repro_gateway_admitted_total", kind="read"
+        )
 
         self._buckets: dict = {}
         for name, (rate, burst) in dict(classes or {"default": (None, 1)}).items():
@@ -239,7 +250,6 @@ class Gateway:
             on_transition=self._on_breaker_transition,
         )
         self.registry.gauge("repro_gateway_breaker_state").set(0)
-        self.registry.gauge("repro_gateway_queue_depth").set(0)
 
     # ------------------------------------------------------------------
     # admission helpers
@@ -302,7 +312,7 @@ class Gateway:
         _fire_fault(GATEWAY_ACCEPT, path="gateway", kind="submit")
         with self._lock:
             with span_if(get_tracer(), "admit", kind="submit", client=client):
-                with self._metrics.timed("admit"):
+                with self._t_admit.time():
                     if self._state != "accepting":
                         self._shed("submit", "draining")
                         raise Draining(f"gateway is {self._state}")
@@ -325,19 +335,14 @@ class Gateway:
                         on_applied=on_applied, on_error=on_error,
                     )
                     self._queue.append(env)
-                    self.registry.counter(
-                        "repro_gateway_admitted_total", kind="submit"
-                    ).inc()
-                    self.registry.gauge("repro_gateway_queue_depth").set(
-                        len(self._queue)
-                    )
+                    self._admitted_submit.inc()
+                    self._queue_depth.set(len(self._queue))
                     return env.ticket
 
     def _pump_interval_hint(self) -> float:
-        """Retry-After hint for a full queue: one observed pump latency."""
-        pump = self._metrics.summary().get("pump")
-        if pump and pump["count"]:
-            return max(pump["mean_ms"] / 1e3, 1e-3)
+        """Retry-After hint for a full queue: the mean observed pump time."""
+        if self._t_pump.count:
+            return max(self._t_pump.mean(), 1e-3)
         return 0.05
 
     def pump_once(self, max_batch: int = 64) -> int:
@@ -356,14 +361,12 @@ class Gateway:
         with self._lock:
             while self._queue and len(batch) < max_batch:
                 batch.append(self._queue.popleft())
-            self.registry.gauge("repro_gateway_queue_depth").set(
-                len(self._queue)
-            )
+            self._queue_depth.set(len(self._queue))
         if not batch:
             return 0
         applied = 0
         with span_if(get_tracer(), "pump", envelopes=len(batch)):
-            with self._metrics.timed("pump"):
+            with self._t_pump.time():
                 for env in batch:
                     try:
                         version = self.service.submit(env.changes)
@@ -381,9 +384,9 @@ class Gateway:
                     applied += 1
                     with self._lock:
                         self._applied += 1
-                    self.registry.histogram(
-                        "repro_gateway_queue_wait_seconds"
-                    ).observe(max(self._clock() - env.enqueued_at, 0.0))
+                    self._queue_wait.observe(
+                        max(self._clock() - env.enqueued_at, 0.0)
+                    )
                     if env.on_applied is not None:
                         env.on_applied(version)
                     # per barrier commit, not per pump: subscribers see
@@ -414,7 +417,7 @@ class Gateway:
         """
         _fire_fault(GATEWAY_ACCEPT, path="gateway", kind="read")
         with span_if(get_tracer(), "read", query=query, client=client):
-            with self._metrics.timed("read"):
+            with self._t_read.time():
                 if self._state == "closed":
                     self._shed("read", "draining")
                     raise Draining("gateway is closed")
@@ -440,9 +443,7 @@ class Gateway:
                     ).inc()
                     raise
                 self.breaker.record_success()
-                self.registry.counter(
-                    "repro_gateway_admitted_total", kind="read"
-                ).inc()
+                self._admitted_read.inc()
                 return result
 
     # ------------------------------------------------------------------
@@ -557,8 +558,9 @@ class Gateway:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
+        metrics = self.registry.snapshot()
+        shed = metrics.get("repro_gateway_shed_total", {})
         with self._lock:
-            shed = self.registry.snapshot().get("repro_gateway_shed_total", {})
             return {
                 "state": self._state,
                 "queue_depth": len(self._queue),
@@ -572,7 +574,7 @@ class Gateway:
                 },
                 "shed": shed if isinstance(shed, dict) else {},
                 "subscribers": len(self._subs),
-                "ops": self._metrics.summary(),
+                "metrics": metrics,
                 "service_version": getattr(self.service, "version", None),
             }
 
@@ -586,8 +588,6 @@ class Gateway:
         collisions -- verified by round-trip through
         :func:`~repro.obs.metrics.parse_exposition`.
         """
-        own = render_prometheus(
-            self.registry, ops=self._metrics, labels={"node": "gateway"}
-        )
+        own = render_prometheus(self.registry, labels={"node": "gateway"})
         svc = self.service.metrics_text(labels={"node": "service"})
         return merge_expositions([own, svc])

@@ -7,8 +7,9 @@ Two pillars threaded through every layer of the stack (DESIGN.md
   end-to-end (``submit -> wal -> scatter -> shard -> refresh -> commit ->
   query``), exportable as Chrome trace-event JSON (``REPRO_TRACE``);
 * :mod:`repro.obs.metrics` -- typed counters/gauges/histograms
-  (:class:`MetricsRegistry`) with Prometheus text exposition, merged into
-  ``GraphService.stats()`` / ``ShardedGraphService.stats()``.
+  (:class:`MetricsRegistry`), per-op latencies included, with Prometheus
+  text exposition, merged into ``GraphService.stats()`` /
+  ``ShardedGraphService.stats()``.
 
 Tracing is disabled-by-default cheap: the tracer slot holds ``None``
 until ``REPRO_TRACE`` or :func:`set_tracer` installs one, and every

@@ -1,20 +1,21 @@
-"""Typed metrics beyond latency: counters, gauges, histograms, exposition.
+"""Typed metrics: counters, gauges, histograms, exposition.
 
-:class:`MetricsRegistry` is the serving layer's second telemetry pillar
-(the first is the per-op latency accounting in
-:mod:`repro.serving.metrics`, the third the span tracing in
-:mod:`repro.obs.trace`): named, optionally labelled instruments recording
-*what the system is doing* -- ingest queue depth, batch sizes, WAL bytes,
-snapshot sizes, per-engine staleness, shard fan-out balance -- rather than
-how long it took.
+:class:`MetricsRegistry` is one of the serving stack's two telemetry
+pillars (the other is the span tracing in :mod:`repro.obs.trace`):
+named, optionally labelled instruments recording what the system is
+doing -- ingest queue depth, batch sizes, WAL bytes, snapshot sizes,
+per-engine staleness, shard fan-out balance -- and how long each
+operation took (the ``repro_op_latency_seconds{op=...}`` histograms every
+service, router and gateway times its calls into).
 
 Three instrument families, mirroring the Prometheus data model:
 
 * :class:`Counter` -- monotone total (``repro_wal_bytes_total``);
 * :class:`Gauge`   -- last-set value (``repro_ingest_queue_depth``);
-* :class:`Histogram` -- distribution summary with the same deterministic
-  decimating reservoir as :class:`~repro.serving.metrics.LatencyStats`
-  (no RNG; identical runs report identical percentiles).
+* :class:`Histogram` -- distribution summary over a deterministic
+  decimating reservoir (no RNG; identical runs report identical
+  percentiles), with a :meth:`Histogram.time` context manager for
+  latencies.
 
 Two read formats: :meth:`MetricsRegistry.snapshot` (a JSON-able dict,
 merged into ``GraphService.stats()["metrics"]``) and
@@ -31,6 +32,10 @@ format, served by ``GraphService.metrics_text()``).
 {'shard="0"': 7}
 >>> print(render_prometheus(reg).splitlines()[1])
 repro_ingest_queue_depth 3
+>>> with reg.histogram("repro_op_latency_seconds", op="query").time():
+...     pass
+>>> reg.snapshot()["repro_op_latency_seconds"]['op="query"']["count"]
+1
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import threading
 from typing import Optional
 
 import numpy as np
+
+from repro.util.timer import WallClock
 
 __all__ = [
     "Counter",
@@ -96,10 +103,10 @@ class Gauge:
 class Histogram:
     """Streaming distribution summary (deterministic decimating reservoir).
 
-    Same retention discipline as :class:`repro.serving.metrics
-    .LatencyStats` -- exact count/total/min/max, percentile estimates over
-    a bounded sample set decimated at a widening stride, no RNG -- but
-    unit-agnostic (batch sizes, skew ratios, bytes).
+    Exact count/total/min/max; percentile estimates over a bounded sample
+    set that, when full, halves itself by keeping every other sample and
+    doubles the keep-stride -- no RNG, so repeated runs report identical
+    numbers.  Unit-agnostic (batch sizes, skew ratios, bytes, seconds).
     """
 
     __slots__ = ("_lock", "max_samples", "count", "total", "min", "max",
@@ -132,6 +139,17 @@ class Histogram:
                     self._samples = self._samples[::2]
                     self._stride *= 2
 
+    def time(self) -> "_Timer":
+        """Context manager observing the wall time of its body, in seconds
+        (recorded on exit, also when the body raises)."""
+        return _Timer(self)
+
+    def mean(self) -> float:
+        """Exact mean of every observation (0.0 when empty); no percentile
+        work, so it is cheap enough for an admission path."""
+        with self._lock:
+            return self.total / self.count if self.count else 0.0
+
     def percentile(self, q: float) -> float:
         if not self._samples:
             return 0.0
@@ -147,6 +165,22 @@ class Histogram:
             "p50": round(self.percentile(50), 6),
             "p99": round(self.percentile(99), 6),
         }
+
+
+class _Timer:
+    """One timed interval feeding a :class:`Histogram`."""
+
+    __slots__ = ("_hist", "_t0")
+
+    def __init__(self, hist: Histogram):
+        self._hist = hist
+
+    def __enter__(self) -> "_Timer":
+        self._t0 = WallClock.now()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._hist.observe(WallClock.now() - self._t0)
 
 
 class MetricsRegistry:
@@ -306,7 +340,7 @@ def merge_expositions(parts) -> str:
                 )
             seen.add(key)
             if current is None:
-                # an untyped series (extras-style); give it its own group
+                # an untyped series; give it its own group
                 name = m.group(1)
                 if name not in bodies:
                     families.setdefault(name, "untyped")
@@ -323,19 +357,13 @@ def merge_expositions(parts) -> str:
 
 
 def render_prometheus(
-    registry: MetricsRegistry,
-    ops=None,
-    extras: Optional[dict] = None,
-    labels: Optional[dict] = None,
+    registry: MetricsRegistry, labels: Optional[dict] = None
 ) -> str:
-    """Prometheus text exposition of a registry (+ optional extras).
+    """Prometheus text exposition of a registry.
 
-    ``ops`` is a :class:`repro.serving.metrics.OpMetrics`; its per-op
-    latency reservoirs render as ``repro_op_latency_seconds`` summary
-    series.  ``extras`` is a flat ``{metric_name: value}`` dict rendered
-    as gauges (the serving layer feeds cache hit/miss totals through it).
-    ``labels`` are appended to every series (the sharded router stamps
-    ``shard="i"`` onto each shard's exposition).
+    Histograms render as ``summary`` series (p50/p99 quantiles, ``_sum``,
+    ``_count``).  ``labels`` are appended to every series (the sharded
+    router stamps ``shard="i"`` onto each shard's exposition).
     """
     base = dict(labels or {})
 
@@ -362,16 +390,4 @@ def render_prometheus(
                 lines.append(series(name + "_count", key, s["count"]))
             else:
                 lines.append(series(name, key, inst.value))
-    for name, value in sorted((extras or {}).items()):
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(series(name, "", value))
-    if ops is not None:
-        name = "repro_op_latency_seconds"
-        lines.append(f"# TYPE {name} summary")
-        for op, s in ops.summary().items():
-            key = f'op="{op}"'
-            lines.append(series(name, key + ',quantile="0.5"', s["p50_ms"] / 1e3))
-            lines.append(series(name, key + ',quantile="0.99"', s["p99_ms"] / 1e3))
-            lines.append(series(name + "_sum", key, s["total_s"]))
-            lines.append(series(name + "_count", key, s["count"]))
     return "\n".join(lines) + "\n"

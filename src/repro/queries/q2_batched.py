@@ -15,9 +15,7 @@ simultaneously.  Per-comment scores are then two ``bincount``s away.
 
 Complexity: O(nnz(Likes) + Σ_c induced-edges) fully vectorised -- the same
 work the per-comment loop does, minus every per-comment constant (Matrix
-construction, FastSV setup, Python dispatch).  The ablation benchmark
-``bench_ablation_batched_cc.py`` measures the difference; the speed-up over
-the loop is typically an order of magnitude at scale.
+construction, FastSV setup, Python dispatch).
 """
 
 from __future__ import annotations

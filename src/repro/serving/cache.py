@@ -78,8 +78,9 @@ class ResultCache:
     version counts as an eviction -- the old result became unservable the
     moment the batch committed, so after one applied batch the eviction
     count equals the number of refreshed engines.  :meth:`stats` reports
-    the totals plus a hit rate; the service merges it into
-    ``stats()["ops"]["cache"]``.
+    the totals plus a hit rate; the service reports it as
+    ``stats()["cache"]`` and mirrors the totals into its registry's
+    ``repro_cache_*`` counters at scrape time.
 
     >>> cache = ResultCache()
     >>> cache.put(CachedResult("Q2", "nmf-batch", 1, ((21, 4),), "21", 0.0))

@@ -25,8 +25,9 @@ for and the offline benchmark harness is not: a long-running owner of one
   *before* each batch is applied, plus periodic point-in-time snapshots,
   so :meth:`recover` rebuilds an equivalent service after a crash
   (see :mod:`repro.serving.persistence` for the convergence argument);
-* accounts per-operation latency (:mod:`repro.serving.metrics`), the
-  numbers ``benchmarks/bench_serving.py`` reports.
+* times every operation into its :class:`~repro.obs.metrics.MetricsRegistry`
+  as ``repro_op_latency_seconds{op=...}`` histograms, read back through
+  :meth:`stats` and :meth:`metrics_text`.
 
 Consistency model: reads serve the last *applied* version; changes
 pending in the micro-batcher are invisible until a flush, which is
@@ -54,7 +55,6 @@ from repro.obs.trace import current_span, get_tracer, span_if, trace_output_path
 from repro.queries.engine import TOOL_NAMES, make_engine
 from repro.serving.cache import CachedResult, ResultCache
 from repro.serving.ingest import MicroBatcher, SubmitGate, coerce_changes
-from repro.serving.metrics import OpMetrics
 from repro.serving.persistence import ChangeLog, SnapshotStore, dir_bytes
 from repro.util.timer import WallClock
 from repro.util.validation import DeadlineExceeded, ReproError
@@ -180,10 +180,22 @@ class GraphService:
             max_pending=max_pending,
         )
         self._cache = ResultCache()
-        self._metrics = OpMetrics()
-        #: typed counters/gauges/histograms (repro.obs); merged into
-        #: stats()["metrics"] and served by metrics_text()
-        self.registry = MetricsRegistry()
+        #: typed counters/gauges/histograms (repro.obs), per-op latencies
+        #: included; merged into stats()["metrics"] and served by
+        #: metrics_text().  Hot-path instruments are resolved once, here.
+        self.registry = reg = MetricsRegistry()
+        self._t_submit = reg.histogram("repro_op_latency_seconds", op="submit")
+        self._t_apply = reg.histogram("repro_op_latency_seconds", op="apply")
+        self._t_query = reg.histogram("repro_op_latency_seconds", op="query")
+        self._queue_depth = reg.gauge("repro_ingest_queue_depth")
+        self._batch_size = reg.histogram("repro_batch_size")
+        #: synced from the ResultCache's own totals at scrape time, so a
+        #: cached read pays no registry lock
+        self._cache_counters = (
+            (reg.counter("repro_cache_hits"), "hits"),
+            (reg.counter("repro_cache_misses"), "misses"),
+            (reg.counter("repro_cache_evictions"), "evictions"),
+        )
         self._closed = False
         self._failed = False
         self._gate = SubmitGate(self._known_applied)
@@ -201,6 +213,11 @@ class GraphService:
                     f"{data_dir} already holds service state; use "
                     "GraphService.recover(data_dir) to resume it"
                 )
+            self._t_wal = reg.histogram("repro_op_latency_seconds", op="wal")
+            self._t_snapshot = reg.histogram(
+                "repro_op_latency_seconds", op="snapshot"
+            )
+            self._wal_bytes = reg.counter("repro_wal_bytes_total")
 
         self._engines: dict[tuple[str, str], object] = {}
         for tool in self.tools:
@@ -214,6 +231,14 @@ class GraphService:
             self._engines[(name, name)] = make_analytics_engine(
                 name, k=k, recompute_threshold=analytics_threshold, partition=shard
             )
+        self._t_refresh = {
+            tool: reg.histogram("repro_op_latency_seconds", op=f"refresh[{tool}]")
+            for _, tool in self._engines
+        }
+        self._staleness = {
+            tool: reg.gauge("repro_engine_staleness", engine=tool)
+            for _, tool in self._engines
+        }
 
         self._load_engines()
 
@@ -233,7 +258,9 @@ class GraphService:
 
     def _load_engines(self) -> None:
         for (query, tool), engine in self._engines.items():
-            with self._metrics.timed(f"load[{tool}]"):
+            with self.registry.histogram(
+                "repro_op_latency_seconds", op=f"load[{tool}]"
+            ).time():
                 engine.load(self.graph)
                 t0 = WallClock.now()
                 result_string = engine.initial()
@@ -329,7 +356,7 @@ class GraphService:
         with self._lock:
             self._check_open()
             with span_if(get_tracer(), "submit") as sp:
-                with self._metrics.timed("submit"):
+                with self._t_submit.time():
                     items = coerce_changes(changes)
                     self._batcher.reserve(len(items))
                     # all-or-nothing validation + pending-id tracking (the
@@ -339,7 +366,7 @@ class GraphService:
                 sp.set(changes=len(items), flushed=batch is not None)
                 if batch is not None:
                     self._apply(batch)
-            self.registry.gauge("repro_ingest_queue_depth").set(self._batcher.pending)
+            self._queue_depth.set(self._batcher.pending)
             return self.version
 
     def apply_batch(self, changes: Union[Change, ChangeSet, Iterable[Change]]) -> int:
@@ -356,7 +383,7 @@ class GraphService:
         """
         with self._lock:
             self._check_open()
-            with self._metrics.timed("submit"):
+            with self._t_submit.time():
                 items = coerce_changes(changes)
                 self._gate.admit(items)
             pending = self._batcher.drain()
@@ -365,7 +392,7 @@ class GraphService:
             self._apply(ChangeSet(items))
             self._batcher.submitted += len(items)
             self._batcher.batches += 1
-            self.registry.gauge("repro_ingest_queue_depth").set(self._batcher.pending)
+            self._queue_depth.set(self._batcher.pending)
             return self.version
 
     def flush(self) -> int:
@@ -376,7 +403,7 @@ class GraphService:
             if batch is not None:
                 with span_if(get_tracer(), "flush"):
                     self._apply(batch)
-            self.registry.gauge("repro_ingest_queue_depth").set(self._batcher.pending)
+            self._queue_depth.set(self._batcher.pending)
             return self.version
 
     def _apply(self, batch: ChangeSet) -> None:
@@ -394,19 +421,19 @@ class GraphService:
         tr = get_tracer()
         try:
             with span_if(tr, "batch", version=next_version, changes=len(batch)):
-                self.registry.histogram("repro_batch_size").observe(len(batch))
+                self._batch_size.observe(len(batch))
                 if self._wal is not None:
-                    with self._metrics.timed("wal"):
+                    with self._t_wal.time():
                         with span_if(tr, "wal") as wsp:
                             nbytes = self._wal.append(next_version, batch)
                             wsp.set(nbytes=nbytes)
-                    self.registry.counter("repro_wal_bytes_total").inc(nbytes)
+                    self._wal_bytes.inc(nbytes)
                     _fire_fault(
                         CRASH_POST_APPEND,
                         path=str(self._wal.path),
                         version=next_version,
                     )
-                with self._metrics.timed("apply"):
+                with self._t_apply.time():
                     with span_if(tr, "apply"):
                         delta = self.graph.apply(batch)
                     self._refresh_engines(batch, delta, next_version)
@@ -454,11 +481,9 @@ class GraphService:
                     if tr is not None:
                         tr.record("refresh", t0, dt, parent=parent,
                                   query=query, tool=tool, status=status)
-                self._metrics.record(f"refresh[{tool}]", dt)
+                self._t_refresh[tool].observe(dt)
                 staleness = getattr(engine, "staleness", 0)
-                self.registry.gauge(
-                    "repro_engine_staleness", engine=tool
-                ).set(staleness)
+                self._staleness[tool].set(staleness)
                 self._cache.put(
                     CachedResult(
                         query=query,
@@ -516,7 +541,7 @@ class GraphService:
                 )
             if self._batcher.due():
                 self._apply(self._batcher.drain())
-            with self._metrics.timed("query"):
+            with self._t_query.time():
                 if tool is None:
                     tool = query if query in self.analytics else self.primary_tool
                 with span_if(get_tracer(), "query", query=query, tool=tool):
@@ -567,13 +592,11 @@ class GraphService:
             return self._cache.get(query, tool), self.engine(query, tool).partial()
 
     def stats(self) -> dict:
-        """Operational snapshot: version, queue, graph, per-op latencies,
-        typed metrics (``"metrics"``) and cache counters
-        (``"ops"]["cache"``)."""
+        """Operational snapshot: version, queue, graph, cache counters
+        (``"cache"``) and the registry (``"metrics"``), per-op latencies
+        under ``"repro_op_latency_seconds"``."""
         with self._lock:
-            self._update_storage_gauge()
-            ops = self._metrics.summary()
-            ops["cache"] = self._cache.stats()
+            cache = self._sync_scraped_metrics()
             return {
                 "version": self.version,
                 "pending": self._batcher.pending,
@@ -585,7 +608,7 @@ class GraphService:
                 "primary_tool": self.primary_tool,
                 "graph": self.graph.stats(),
                 "storage": self.graph.storage_stats(),
-                "ops": ops,
+                "cache": cache,
                 "metrics": self.registry.snapshot(),
                 "persistent": self._store is not None,
                 "snapshots": self._store.versions() if self._store else [],
@@ -593,31 +616,26 @@ class GraphService:
             }
 
     def metrics_text(self, labels: Optional[dict] = None) -> str:
-        """Prometheus text exposition of this service's telemetry: the
-        typed registry, the cache counters, and every per-op latency
-        reservoir as ``repro_op_latency_seconds`` summaries.  ``labels``
-        are stamped onto every series (the sharded router passes its
-        ``shard="i"`` tag)."""
+        """Prometheus text exposition of this service's registry, per-op
+        latencies included.  ``labels`` are stamped onto every series (the
+        sharded router passes its ``shard="i"`` tag)."""
         with self._lock:
-            self._update_storage_gauge()
-            cache = self._cache.stats()
-            return render_prometheus(
-                self.registry,
-                ops=self._metrics,
-                extras={
-                    "repro_cache_hits": cache["hits"],
-                    "repro_cache_misses": cache["misses"],
-                    "repro_cache_evictions": cache["evictions"],
-                },
-                labels=labels,
-            )
+            self._sync_scraped_metrics()
+            return render_prometheus(self.registry, labels=labels)
 
-    def _update_storage_gauge(self) -> None:
-        """Refresh ``repro_storage_bytes`` (labelled by arena backend)."""
+    def _sync_scraped_metrics(self) -> dict:
+        """Bring the series read only at scrape time up to date:
+        ``repro_storage_bytes`` (labelled by arena backend) and the
+        ``repro_cache_*`` counters, advanced to the cache's own totals.
+        Returns the cache stats."""
         backend = self.graph.backend or self.graph.storage
         self.registry.gauge("repro_storage_bytes", backend=backend).set(
             self.graph.storage_bytes()
         )
+        cache = self._cache.stats()
+        for counter, key in self._cache_counters:
+            counter.inc(cache[key] - counter.value)
+        return cache
 
     # ------------------------------------------------------------------
     # persistence / lifecycle
@@ -635,7 +653,7 @@ class GraphService:
         with self._lock:
             if self._store is None:
                 raise ReproError("service has no data_dir; snapshots are disabled")
-            with self._metrics.timed("snapshot"):
+            with self._t_snapshot.time():
                 with span_if(get_tracer(), "snapshot", version=self.version):
                     if self.version not in self._store.versions():
                         path = self._store.save(self.graph, self.version)

@@ -2,7 +2,8 @@
 
 PR 5's router held *direct object references* to its shards -- fine for
 one process, fatal for scaling: every scatter fanned out over threads in
-one GIL-bound interpreter (BENCH_sharding.json: 0.38x at shards=4).  This
+one GIL-bound interpreter (a single-core bench once measured shards=4 at
+0.38x the updates/s of shards=1).  This
 module tears that coupling apart.  The router now speaks a small
 **handle protocol** -- exactly the shard surface it actually uses -- and
 two interchangeable backends implement it:

@@ -68,7 +68,6 @@ from repro.replication.service import ReplicatedGraphService
 from repro.obs.trace import current_span, get_tracer, span_if
 from repro.serving.cache import CachedResult
 from repro.serving.ingest import MicroBatcher, SubmitGate, coerce_changes
-from repro.serving.metrics import OpMetrics
 from repro.serving.persistence import ChangeLog
 from repro.serving.service import GraphService, _Flusher
 from repro.obs.trace import trace_output_path
@@ -242,9 +241,19 @@ class ShardedGraphService:
             max_pending=max_pending,
         )
         self._gate = SubmitGate(self._known_applied)
-        self._metrics = OpMetrics()
-        #: router-level typed metrics (each shard keeps its own registry)
-        self.registry = MetricsRegistry()
+        #: router-level typed metrics and op latencies (each shard keeps
+        #: its own registry); hot-path instruments are resolved once, here
+        self.registry = reg = MetricsRegistry()
+        self._t_submit = reg.histogram("repro_op_latency_seconds", op="submit")
+        self._t_scatter = reg.histogram("repro_op_latency_seconds", op="scatter")
+        self._t_query = reg.histogram("repro_op_latency_seconds", op="query")
+        self._queue_depth = reg.gauge("repro_ingest_queue_depth")
+        self._batch_size = reg.histogram("repro_batch_size")
+        self._shard_changes = [
+            reg.counter("repro_shard_changes_total", shard=str(i))
+            for i in range(shards)
+        ]
+        self._scatter_skew = reg.histogram("repro_scatter_skew")
         self._closed = False
         self._failed = False
         #: external content id -> owner shard (the routing tables; comments
@@ -351,6 +360,8 @@ class ShardedGraphService:
                         fh,
                     )
             self._wal = ChangeLog(data_dir, sync=wal_sync)
+            self._t_wal = reg.histogram("repro_op_latency_seconds", op="wal")
+            self._wal_bytes = reg.counter("repro_wal_bytes_total")
 
         self._scatter_pool: Optional[ThreadPoolExecutor] = None
         if concurrent_scatter and shards > 1:
@@ -482,7 +493,7 @@ class ShardedGraphService:
         with self._lock:
             self._check_open()
             with span_if(get_tracer(), "submit") as sp:
-                with self._metrics.timed("submit"):
+                with self._t_submit.time():
                     items = coerce_changes(changes)
                     self._batcher.reserve(len(items))
                     self._gate.admit(items)
@@ -490,7 +501,7 @@ class ShardedGraphService:
                 sp.set(changes=len(items), flushed=batch is not None)
                 if batch is not None:
                     self._apply(batch)
-            self.registry.gauge("repro_ingest_queue_depth").set(self._batcher.pending)
+            self._queue_depth.set(self._batcher.pending)
             return self.version
 
     def flush(self) -> int:
@@ -501,7 +512,7 @@ class ShardedGraphService:
             if batch is not None:
                 with span_if(get_tracer(), "flush"):
                     self._apply(batch)
-            self.registry.gauge("repro_ingest_queue_depth").set(self._batcher.pending)
+            self._queue_depth.set(self._batcher.pending)
             return self.version
 
     def _apply(self, batch: ChangeSet) -> None:
@@ -510,26 +521,24 @@ class ShardedGraphService:
         tr = get_tracer()
         try:
             with span_if(tr, "batch", version=next_version, changes=len(batch)):
-                self.registry.histogram("repro_batch_size").observe(len(batch))
+                self._batch_size.observe(len(batch))
                 if self._wal is not None:
-                    with self._metrics.timed("wal"):
+                    with self._t_wal.time():
                         with span_if(tr, "wal") as wsp:
                             nbytes = self._wal.append(next_version, batch)
                             wsp.set(nbytes=nbytes)
-                    self.registry.counter("repro_wal_bytes_total").inc(nbytes)
+                    self._wal_bytes.inc(nbytes)
                 subs = self._route(list(batch))
                 sizes = [len(sub) for sub in subs]
-                for i, n in enumerate(sizes):
-                    self.registry.counter(
-                        "repro_shard_changes_total", shard=str(i)
-                    ).inc(n)
+                for counter, n in zip(self._shard_changes, sizes):
+                    counter.inc(n)
                 if sum(sizes):
                     # fan-out balance: largest shard sub-batch / mean
                     # (1.0 = perfectly even split, num_shards = all-to-one)
-                    self.registry.histogram("repro_scatter_skew").observe(
+                    self._scatter_skew.observe(
                         max(sizes) * len(sizes) / sum(sizes)
                     )
-                with self._metrics.timed("scatter"):
+                with self._t_scatter.time():
                     with span_if(tr, "scatter", version=next_version):
                         self._scatter(subs, next_version)
         except BaseException:
@@ -661,7 +670,7 @@ class ShardedGraphService:
                 )
             if self._batcher.due():
                 self._apply(self._batcher.drain())
-            with self._metrics.timed("query"), span_if(
+            with self._t_query.time(), span_if(
                 get_tracer(), "query", query=query
             ):
                 if tool is None:
@@ -711,7 +720,6 @@ class ShardedGraphService:
                 "analytics": list(self.analytics),
                 "primary_tool": self.primary_tool,
                 "persistent": self._wal is not None,
-                "ops": self._metrics.summary(),
                 "metrics": self.registry.snapshot(),
                 "shard_versions": [svc.version for svc in self._shards],
                 "per_shard": [svc.stats() for svc in self._shards],
@@ -728,8 +736,7 @@ class ShardedGraphService:
         """
         with self._lock:
             base = dict(labels or {})
-            parts = [render_prometheus(self.registry, ops=self._metrics,
-                                       labels=labels)]
+            parts = [render_prometheus(self.registry, labels=labels)]
             parts.extend(
                 svc.metrics_text(labels={**base, "shard": str(i)})
                 for i, svc in enumerate(self._shards)

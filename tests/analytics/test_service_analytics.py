@@ -85,10 +85,10 @@ def test_four_plus_analytics_tools_served_end_to_end():
             fresh.initial()
             assert svc.query(name).top == tuple(fresh.last_top), name
         # per-tool refresh + load metrics exist
-        ops = svc.stats()["ops"]
+        ops = svc.stats()["metrics"]["repro_op_latency_seconds"]
         for name in TOOLS:
-            assert f"refresh[{name}]" in ops
-            assert f"load[{name}]" in ops
+            assert f'op="refresh[{name}]"' in ops
+            assert f'op="load[{name}]"' in ops
         assert svc.stats()["analytics"] == list(TOOLS)
     finally:
         svc.close()

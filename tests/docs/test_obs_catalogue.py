@@ -17,8 +17,10 @@ SPAN_RE = re.compile(
 )
 #: typed metric series (the repro_* namespace is reserved for telemetry)
 METRIC_RE = re.compile(r'"(repro_[a-z0-9_]+)"')
-#: OpMetrics latency reservoirs started via timed("op")
-TIMED_RE = re.compile(r'timed\(\s*"([a-z_]+)"\s*\)')
+#: repro_op_latency_seconds series: the op= label value of each
+#: histogram("repro_op_latency_seconds", op=...) instrument; f-string
+#: families such as op=f"refresh[{tool}]" come back as refresh[<tool>]
+OP_RE = re.compile(r'\bop=f?"([a-z_]+(?:\[\{[a-z_]+\}\])?)"')
 
 
 def _src_names(pattern: re.Pattern) -> set[str]:
@@ -54,8 +56,11 @@ class TestNoUndocumentedTelemetry:
         assert not missing, f"metrics missing from DESIGN.md catalogue: {sorted(missing)}"
 
     def test_every_latency_op_documented(self):
-        ops = _src_names(TIMED_RE)
-        assert {"submit", "wal", "apply", "query", "snapshot"} <= ops
+        ops = {
+            re.sub(r"\{(\w+)\}", r"<\1>", op) for op in _src_names(OP_RE)
+        }
+        assert {"submit", "wal", "apply", "query", "snapshot",
+                "refresh[<tool>]", "load[<tool>]"} <= ops
         missing = ops - _catalogue()
         assert not missing, f"ops missing from DESIGN.md catalogue: {sorted(missing)}"
 

@@ -7,6 +7,7 @@ matters.  All clocks injected; crash schedules via FaultPlan.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, InjectedCrash, inject
@@ -103,6 +104,24 @@ class TestSubmitAdmission:
         # shedding lost nothing admitted: both queued envelopes apply
         assert gw.pump_once() == 2
         gw.submit([AddUser(2)])  # and the queue accepts again
+
+    def test_queue_full_hint_is_mean_pump_time_without_percentiles(
+        self, monkeypatch
+    ):
+        gw = _gw(queue_limit=1)
+        gw.submit([AddUser(0)])
+        pump = gw.registry.histogram("repro_op_latency_seconds", op="pump")
+        for seconds in (0.02, 0.04, 0.06):
+            pump.observe(seconds)
+        calls = []
+        real = np.percentile
+        monkeypatch.setattr(
+            np, "percentile", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        with pytest.raises(QueueFull) as exc:
+            gw.submit([AddUser(1)])
+        assert exc.value.retry_after == pytest.approx(0.04)
+        assert calls == []  # the shed path summarises no reservoir
 
     def test_rate_limit_sheds_nth_request_exactly(self):
         clock = _Clock()

@@ -107,6 +107,43 @@ class TestStackedExposition:
         finally:
             gw.drain(close_service=True)
 
+    def test_one_latency_family_across_gateway_router_and_shards(self):
+        svc = ShardedGraphService(
+            shards=2, tools=("graphblas-incremental",), max_batch=1
+        )
+        gw = Gateway(svc, queue_limit=16)
+        try:
+            gw.submit([AddUser(0)])
+            gw.pump_once()
+            gw.read("Q1")
+            text = gw.metrics_text()
+            assert text.count("# TYPE repro_op_latency_seconds summary") == 1
+            parsed = parse_exposition(text)
+            assert parsed["types"]["repro_op_latency_seconds"] == "summary"
+            counts = {
+                labels: value for (name, labels), value in parsed["series"].items()
+                if name == "repro_op_latency_seconds_count"
+            }
+
+            def ops(*stamps):
+                """op names of the series carrying exactly these stamps."""
+                return {
+                    labels.split('"')[1] for labels in counts
+                    if all(s in labels for s in stamps)
+                    and ("shard=" in labels) == any("shard=" in s for s in stamps)
+                }
+
+            assert {"admit", "pump", "read"} <= ops('node="gateway"')
+            assert {"submit", "scatter", "query"} <= ops('node="service"')
+            for shard in ("0", "1"):
+                assert {"submit", "apply", "refresh[graphblas-incremental]",
+                        "load[graphblas-incremental]"} <= ops(
+                    'node="service"', f'shard="{shard}"')
+            assert counts['op="pump",node="gateway"'] == 1
+            assert counts['op="scatter",node="service"'] == 1
+        finally:
+            gw.drain(close_service=True)
+
     def test_per_op_series_do_not_collide_across_layers(self):
         # gateway op names (admit/pump/read) are disjoint from service op
         # names (submit/wal/apply/query/...) *and* carry distinct node

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs.metrics import Histogram, MetricsRegistry, render_prometheus
-from repro.serving.metrics import OpMetrics
 
 
 class TestInstruments:
@@ -52,6 +51,38 @@ class TestInstruments:
         assert s["min"] == 1 and s["max"] == 10
         assert s["p50"] == 2.5
 
+    def test_histogram_exact_count_and_total(self):
+        h = MetricsRegistry().histogram("repro_op_latency_seconds", op="query")
+        for v in (0.001, 0.002, 0.003):
+            h.observe(v)
+        assert h.count == 3
+        assert abs(h.total - 0.006) < 1e-12
+        assert abs(h.mean() - 0.002) < 1e-12
+        assert h.min == 0.001 and h.max == 0.003
+
+    def test_histogram_percentiles(self):
+        h = MetricsRegistry().histogram("repro_op_latency_seconds", op="query")
+        for i in range(1, 101):
+            h.observe(i / 1000.0)
+        assert 0.045 <= h.percentile(50) <= 0.055
+        assert h.percentile(99) >= 0.098
+
+    def test_histogram_empty_summary_is_zero(self):
+        s = MetricsRegistry().histogram("repro_op_latency_seconds", op="x").summary()
+        assert s["count"] == 0
+        assert s["p99"] == 0.0
+        assert s["min"] == 0.0 and s["max"] == 0.0 and s["mean"] == 0.0
+
+    def test_histogram_time_context(self):
+        h = MetricsRegistry().histogram("repro_op_latency_seconds", op="query")
+        with h.time():
+            pass
+        with pytest.raises(RuntimeError):
+            with h.time():
+                raise RuntimeError("a failed op is still timed")
+        assert h.count == 2
+        assert h.total >= 0.0
+
     def test_histogram_reservoir_deterministic(self):
         import threading
 
@@ -62,6 +93,20 @@ class TestInstruments:
         assert a._samples == b._samples
         assert len(a._samples) < 64
         assert a.count == 10_000  # count/sum stay exact under decimation
+        assert a.max == 9999.0
+
+    def test_histogram_reservoir_bounded_and_exact(self):
+        # two registries fed the same latencies keep identical reservoirs
+        a = MetricsRegistry().histogram("repro_op_latency_seconds", op="query")
+        b = MetricsRegistry().histogram("repro_op_latency_seconds", op="query")
+        for i in range(10_000):
+            a.observe(i * 1e-6)
+            b.observe(i * 1e-6)
+        assert len(a._samples) < a.max_samples
+        assert a._samples == b._samples  # no RNG in the measurement path
+        assert a.count == 10_000
+        assert abs(a.total - sum(i * 1e-6 for i in range(10_000))) < 1e-9
+        assert a.min == 0.0 and a.max == 9999 * 1e-6
 
 
 class TestSnapshot:
@@ -73,6 +118,14 @@ class TestSnapshot:
         snap = reg.snapshot()
         assert list(snap) == ["a", "b", "c"]
         json.dumps(snap)  # must not raise
+
+    def test_labelled_series_sorted(self):
+        reg = MetricsRegistry()
+        reg.histogram("repro_op_latency_seconds", op="b").observe(0.1)
+        reg.histogram("repro_op_latency_seconds", op="a").observe(0.2)
+        ops = reg.snapshot()["repro_op_latency_seconds"]
+        assert list(ops) == ['op="a"', 'op="b"']
+        assert ops['op="a"']["count"] == 1
 
     def test_unlabelled_collapses_to_value(self):
         reg = MetricsRegistry()
@@ -98,19 +151,20 @@ class TestPrometheus:
 
     def test_ops_render_as_latency_summaries(self):
         reg = MetricsRegistry()
-        ops = OpMetrics()
-        ops.record("query", 0.002)
-        text = render_prometheus(reg, ops=ops)
-        assert "# TYPE repro_op_latency_seconds summary" in text
-        assert 'repro_op_latency_seconds_count{op="query"} 1' in text
-        assert 'repro_op_latency_seconds{op="query",quantile="0.99"}' in text
+        reg.histogram("repro_op_latency_seconds", op="query").observe(0.002)
+        reg.histogram("repro_op_latency_seconds", op="submit").observe(0.001)
+        lines = render_prometheus(reg).splitlines()
+        assert lines.count("# TYPE repro_op_latency_seconds summary") == 1
+        assert 'repro_op_latency_seconds_count{op="query"} 1' in lines
+        assert 'repro_op_latency_seconds_sum{op="query"} 0.002' in lines
+        assert 'repro_op_latency_seconds{op="query",quantile="0.99"} 0.002' in lines
+        assert 'repro_op_latency_seconds_count{op="submit"} 1' in lines
 
-    def test_extras_and_labels(self):
+    def test_base_labels_stamp_every_series(self):
         reg = MetricsRegistry()
         reg.gauge("repro_ingest_queue_depth").set(2)
-        text = render_prometheus(
-            reg, extras={"repro_cache_hits": 9}, labels={"shard": "1"}
-        )
-        # base labels append to every series, extras render as gauges
+        reg.counter("repro_cache_hits").inc(9)
+        text = render_prometheus(reg, labels={"shard": "1"})
         assert 'repro_ingest_queue_depth{shard="1"} 2' in text
         assert 'repro_cache_hits{shard="1"} 9' in text
+        assert "# TYPE repro_cache_hits counter" in text

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.model.changes import AddFriendship, AddUser
+from repro.obs.metrics import parse_exposition
 from repro.serving.cache import CachedResult, ResultCache
 from repro.serving.service import GraphService
 from repro.util.validation import ReproError
@@ -61,7 +62,7 @@ class TestServiceExposure:
         svc.submit(AddFriendship(1, 2))
         svc.query("Q1")
         svc.query("degree")
-        cache = svc.stats()["ops"]["cache"]
+        cache = svc.stats()["cache"]
         # 2 applied batches x 3 engines: each bump evicted exactly the
         # previous version's entry for every refreshed engine
         assert cache["evictions"] == 2 * n_engines
@@ -74,5 +75,25 @@ class TestServiceExposure:
         svc = GraphService(tools=("graphblas-incremental",), max_batch=1)
         with pytest.raises(ReproError):
             svc.query("Q1", "no-such-tool")
-        assert svc.stats()["ops"]["cache"]["misses"] == 1
+        assert svc.stats()["cache"]["misses"] == 1
+        svc.close()
+
+    def test_exported_as_counters_synced_at_scrape(self):
+        svc = GraphService(tools=("graphblas-incremental",), max_batch=1)
+        svc.submit(AddUser(1))
+        svc.query("Q1")
+        svc.query("Q1")
+        with pytest.raises(ReproError):
+            svc.query("Q1", "no-such-tool")
+        parsed = parse_exposition(svc.metrics_text())
+        for name in ("repro_cache_hits", "repro_cache_misses",
+                     "repro_cache_evictions"):
+            assert parsed["types"][name] == "counter"
+        series = parsed["series"]
+        assert series[("repro_cache_hits", "")] == 2
+        assert series[("repro_cache_misses", "")] == 1
+        assert series[("repro_cache_evictions", "")] == 2  # Q1 + Q2 at v1
+        # a later scrape advances the counters to the cache's new totals
+        svc.query("Q2")
+        assert svc.stats()["metrics"]["repro_cache_hits"] == 3
         svc.close()

@@ -105,9 +105,9 @@ def test_per_engine_refresh_metrics_preserved():
     with GraphService(graph, tools=ALL_TOOLS, max_batch=16,
                       max_delay_ms=1e9) as svc:
         _drive(svc, changes)
-        ops = svc.stats()["ops"]
+        ops = svc.stats()["metrics"]["repro_op_latency_seconds"]
         for t in ALL_TOOLS:
-            assert ops[f"refresh[{t}]"]["count"] >= 1
+            assert ops[f'op="refresh[{t}]"']["count"] >= 1
 
 
 def test_failure_order_is_deterministic(monkeypatch):

@@ -109,9 +109,11 @@ class TestServingBasics:
             assert s["submitted"] == 1
             assert s["applied_batches"] == 1
             assert s["graph"]["users"] == 4
-            assert s["ops"]["apply"]["count"] == 1
-            assert s["ops"]["query"]["count"] == 1
-            assert s["ops"]["refresh[graphblas-batch]"]["count"] == 2  # Q1+Q2
+            ops = s["metrics"]["repro_op_latency_seconds"]
+            assert ops['op="apply"']["count"] == 1
+            assert ops['op="query"']["count"] == 1
+            assert ops['op="refresh[graphblas-batch]"']["count"] == 2  # Q1+Q2
+            assert "ops" not in s and s["cache"]["hits"] == 1
 
 
 class TestValidation:

@@ -214,7 +214,8 @@ class TestReadsAndOps:
             assert s["version"] == 1 and s["shards"] == 2
             assert s["shard_versions"] == [1, 1]
             assert len(s["per_shard"]) == 2
-            assert "scatter" in s["ops"]
+            ops = s["metrics"]["repro_op_latency_seconds"]
+            assert ops['op="scatter"']["count"] == 1
             assert "shards=2" in repr(svc)
         finally:
             svc.close()
