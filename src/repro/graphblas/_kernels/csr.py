@@ -14,10 +14,10 @@ from repro.util.validation import ReproError
 
 __all__ = [
     "indptr_from_rows",
-    "expand_rows",
     "transpose",
     "extract_submatrix",
     "row_ranges",
+    "iter_row_ranges",
 ]
 
 
@@ -28,12 +28,6 @@ def indptr_from_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
     indptr[0] = 0
     np.cumsum(counts, out=indptr[1:])
     return indptr
-
-
-def expand_rows(indptr: np.ndarray) -> np.ndarray:
-    """Invert indptr back to per-entry row indices."""
-    nrows = indptr.size - 1
-    return np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
 
 
 def row_ranges(indptr: np.ndarray, row_ids: np.ndarray):
@@ -56,6 +50,30 @@ def row_ranges(indptr: np.ndarray, row_ids: np.ndarray):
     within = np.arange(total, dtype=np.int64) - np.repeat(out_starts, lengths)
     entry_idx = np.repeat(starts, lengths) + within
     return entry_idx, group
+
+
+def iter_row_ranges(indptr: np.ndarray, row_ids: np.ndarray, chunk: int):
+    """:func:`row_ranges` in slices of at most ``chunk`` entries.
+
+    Yields ``(entry_idx, group)`` pairs whose concatenation equals
+    ``row_ranges(indptr, row_ids)``.  Slices cut through rows where they
+    must, so the memory a slice gathers is bounded by ``chunk`` however
+    long any one row is.
+    """
+    starts = indptr[row_ids]
+    lengths = indptr[row_ids + 1] - starts
+    ends = np.cumsum(lengths)
+    begins = ends - lengths
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        # the groups holding flat positions lo .. hi-1, clipped to them
+        g0 = int(np.searchsorted(ends, lo, side="right"))
+        g1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        counts = np.minimum(ends[g0:g1], hi) - np.maximum(begins[g0:g1], lo)
+        group = np.repeat(np.arange(g0, g1, dtype=np.int64), counts)
+        offset = np.repeat(starts[g0:g1] - begins[g0:g1], counts)
+        yield offset + np.arange(lo, hi, dtype=np.int64), group
 
 
 def transpose(rows, cols, values, nrows: int, ncols: int):

@@ -21,6 +21,10 @@ adapted from GPU memory pools to NumPy arenas:
   the previous frozen arrays (:func:`.._kernels.freeze.merge_dirty_rows`)
   -- O(nnz) copies, no global sort -- and when *nothing* changed the same
   Matrix object is returned, so its cached ``indptr``/transpose survive.
+* **One-pass cold start** (this repo's addition): a bulk ``assign_coo``
+  into a still-empty arena, like ``from_matrix``, lays every row out at
+  once -- capacity ``_block_cap(len)``, contiguous blocks, one scatter --
+  so loading a graph never enters the per-row merge loop.
 
 Amortised costs: ``set_element`` O(row degree) (membership scan dominates),
 ``remove_element`` O(row degree), ``to_matrix`` O(nnz log nnz) (one sort),
@@ -72,9 +76,14 @@ def _row_segments(rows: np.ndarray):
         yield int(rows[lo]), int(lo), int(hi)
 
 
-def _block_cap(n: int) -> int:
-    """Smallest power-of-two capacity >= max(n, _MIN_CAP)."""
-    return 1 << max(int(n) - 1, _MIN_CAP - 1).bit_length()
+def _block_cap(n):
+    """Smallest power-of-two capacity >= max(n, _MIN_CAP), elementwise.
+
+    ``frexp``'s exponent of a positive integer is its bit length (exact
+    below 2**53).
+    """
+    _, bits = np.frexp(np.maximum(n, _MIN_CAP) - 1)
+    return np.left_shift(np.int64(1), bits.astype(np.int64))
 
 
 class DynamicMatrix:
@@ -157,28 +166,8 @@ class DynamicMatrix:
             raise ValueError(f"slack must be >= 0, got {slack}")
         dm = cls(matrix.dtype, matrix.nrows, matrix.ncols, store=store)
         rows, cols, vals = matrix.to_coo()
-        if rows.size == 0:
-            return dm
-        lengths = np.bincount(rows, minlength=matrix.nrows).astype(np.int64)
-        caps = np.array(
-            [_block_cap(int(np.ceil(n * (1.0 + slack)))) if n else 0 for n in lengths],
-            dtype=np.int64,
-        )
-        starts = np.concatenate([[0], np.cumsum(caps)[:-1]])
-        starts[lengths == 0] = -1
-        total = int(caps.sum())
-        dm._cols = dm._store.resize("cols", dm._cols, total, keep=0)
-        dm._vals = dm._store.resize("vals", dm._vals, total, keep=0)
-        # rows/cols arrive CSR-sorted: one vectorised scatter places all data
-        row_starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        dest = starts[rows] + (np.arange(rows.size) - row_starts[rows])
-        dm._cols[dest] = cols
-        dm._vals[dest] = dm.dtype.cast(vals)
-        dm._start[:] = starts
-        dm._len[:] = lengths
-        dm._cap[:] = caps
-        dm._used = total
-        dm._nvals = int(rows.size)
+        if rows.size:
+            dm._lay_out(rows, cols, dm.dtype.cast(vals), slack)
         return dm
 
     @classmethod
@@ -351,6 +340,32 @@ class DynamicMatrix:
         self._used = need
         return start
 
+    def _lay_out(self, rows, cols, vals, slack: float = 0.0) -> None:
+        """Place canonical (row-major, duplicate-free) entries into this
+        still-empty arena in one pass.
+
+        Every non-empty row gets one block of capacity
+        ``_block_cap(ceil(len * (1 + slack)))``, blocks are contiguous in
+        row order, and one scatter writes all data: no free-list blocks,
+        no relocations, arena size = the sum of the capacities.
+        """
+        lengths = np.bincount(rows, minlength=self._nrows).astype(np.int64)
+        want = np.ceil(lengths * (1.0 + slack)).astype(np.int64) if slack else lengths
+        caps = np.where(want > 0, _block_cap(want), 0)
+        starts = np.cumsum(caps) - caps
+        total = int(caps.sum())
+        self._cols = self._store.resize("cols", self._cols, total, keep=0)
+        self._vals = self._store.resize("vals", self._vals, total, keep=0)
+        row_starts = np.cumsum(lengths) - lengths
+        dest = starts[rows] + (np.arange(rows.size) - row_starts[rows])
+        self._cols[dest] = cols
+        self._vals[dest] = vals
+        self._start[:] = np.where(lengths > 0, starts, -1)
+        self._len[:] = lengths
+        self._cap[:] = caps
+        self._used = total
+        self._nvals = int(rows.size)
+
     def _grow_row(self, i: int) -> None:
         """Relocate row ``i`` into a block of the next capacity class."""
         old_cap = int(self._cap[i])
@@ -435,6 +450,13 @@ class DynamicMatrix:
             rows, cols, values, self._nrows, self._ncols,
             dup_op=accum if accum is not None else _ops.second,
         )
+        if self._used == 0:
+            # cold start (CSV/snapshot load, data generation, shard
+            # partitioning): nothing to merge with, so lay every row out
+            # at once instead of growing each through the per-row path
+            self._lay_out(rows, cols, values)
+            self._dirty.update(np.flatnonzero(self._len).tolist())
+            return
         for i, lo, hi in _row_segments(rows):
             self._assign_row(i, cols[lo:hi], values[lo:hi], accum)
 

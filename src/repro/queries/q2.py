@@ -24,8 +24,15 @@ comment granularity: pass an :class:`~repro.parallel.Executor` (the Fig. 5
 
 * ``"fastsv"``     -- the paper's choice (LAGraph FastSV on GraphBLAS);
 * ``"unionfind"``  -- pure-Python union-find (fast for tiny subgraphs);
+* ``"batched"``    -- one FastSV over the block-diagonal like-slot graph of
+  all requested comments (:mod:`repro.queries.q2_batched`, extension);
 * ``"incremental"``-- only for :class:`Q2Incremental`: maintain components
   dynamically per comment (future-work item (2), Ediger-style).
+
+:meth:`Q2Incremental.initial` with ``"fastsv"`` or ``"batched"`` and no
+executor scores every comment in that one block-diagonal FastSV; the
+per-comment loop stays the batch engine's, the executor path's and the
+``"unionfind"`` oracle's.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from repro.lagraph.fastsv import fastsv
 from repro.lagraph.incremental_cc import IncrementalCC
 from repro.model.graph import GraphDelta, SocialGraph
 from repro.parallel.executor import Executor, SerialExecutor, chunk_evenly
+from repro.queries.q2_batched import batched_comment_scores
 from repro.queries.topk import TopKTracker, grow_scores, top_k_entries
 from repro.util.validation import ReproError
 
@@ -178,10 +186,8 @@ def score_comments(
     if comments.size == 0:
         return {}
     if algorithm == "batched":
-        from repro.queries.q2_batched import batched_comment_scores
-
         scored = batched_comment_scores(graph, comments)
-        return {int(c): scored.get(int(c), 0) for c in comments.tolist()}
+        return dict(zip(comments.tolist(), scored.tolist()))
     if comments.size <= _SMALL_SCORE_SET:
         # Delta-rescore fast path: a handful of affected comments does not
         # justify freezing the likes matrix or spinning the chunk machinery
@@ -377,18 +383,22 @@ class Q2Incremental:
 
     def initial(self) -> list[tuple[int, int]]:
         g = self.graph
+        self._scores = np.zeros(g.num_comments, dtype=np.int64)
         if self.algorithm == "incremental":
             self._build_dynamic_state()
-            scored = {c: cc.sum_squared_sizes for c, cc in self._cc.items()}
+            self._overwrite({c: cc.sum_squared_sizes for c, cc in self._cc.items()})
+        elif self.executor is None and self.algorithm in ("fastsv", "batched"):
+            # one block-diagonal FastSV over every like slot (q2_batched)
+            self._scores = batched_comment_scores(g)
         else:
-            scored = score_comments(
-                g,
-                range(g.num_comments),
-                algorithm=self.algorithm,
-                executor=self.executor,
+            self._overwrite(
+                score_comments(
+                    g,
+                    range(g.num_comments),
+                    algorithm=self.algorithm,
+                    executor=self.executor,
+                )
             )
-        self._scores = np.zeros(g.num_comments, dtype=np.int64)
-        self._overwrite(scored)
         # vectorised seed (one top-k selection; see Q1Incremental.initial)
         self.tracker.reseed(
             top_k_entries(

@@ -35,6 +35,12 @@ class TestBlockCap:
         assert _block_cap(8) == 8
         assert _block_cap(9) == 16
         assert _block_cap(1000) == 1024
+        assert _block_cap(2**40) == 2**40
+        assert _block_cap(2**40 + 1) == 2**41
+
+    def test_elementwise(self):
+        n = np.array([0, 1, 4, 5, 9, 1000, 2**40 + 1], dtype=np.int64)
+        assert _block_cap(n).tolist() == [4, 4, 4, 8, 16, 1024, 2**41]
 
 
 class TestConstruction:

@@ -95,7 +95,8 @@ class TestCsrHelpers:
         rows = np.array([0, 0, 2], dtype=np.int64)
         ip = csr.indptr_from_rows(rows, 4)
         assert ip.tolist() == [0, 2, 2, 3, 3]
-        assert csr.expand_rows(ip).tolist() == [0, 0, 2]
+        _, group = csr.row_ranges(ip, np.arange(4, dtype=np.int64))
+        assert group.tolist() == [0, 0, 2]
 
     def test_row_ranges(self):
         ip = np.array([0, 2, 2, 5], dtype=np.int64)
@@ -107,6 +108,23 @@ class TestCsrHelpers:
         ip = np.array([0, 0], dtype=np.int64)
         entry, group = csr.row_ranges(ip, np.array([0], dtype=np.int64))
         assert entry.size == 0 and group.size == 0
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 100])
+    def test_iter_row_ranges_concatenates_to_row_ranges(self, chunk):
+        rng = np.random.default_rng(chunk)
+        lengths = rng.integers(0, 6, 12)
+        ip = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        row_ids = rng.integers(0, 12, 9).astype(np.int64)  # repeats allowed
+        slices = list(csr.iter_row_ranges(ip, row_ids, chunk))
+        assert all(0 < e.size == g.size <= chunk for e, g in slices)
+        entry, group = csr.row_ranges(ip, row_ids)
+        assert np.concatenate([e for e, _ in slices]).tolist() == entry.tolist()
+        assert np.concatenate([g for _, g in slices]).tolist() == group.tolist()
+
+    def test_iter_row_ranges_empty(self):
+        ip = np.array([0, 0, 0], dtype=np.int64)
+        assert list(csr.iter_row_ranges(ip, np.array([1, 0], np.int64), 4)) == []
+        assert list(csr.iter_row_ranges(ip, np.zeros(0, np.int64), 4)) == []
 
 
 class TestMerge:

@@ -100,24 +100,22 @@ _edge_ops = st.lists(
 )
 
 
+def _seed(storage: str) -> SocialGraph:
+    g = SocialGraph(storage=storage)
+    cs = ChangeSet(
+        [AddUser(100 + i) for i in range(4)]
+        + [AddPost(10, 1, 100)]
+        + [AddComment(20 + i, 2 + i, 100 + i % 4, 10) for i in range(3)]
+    )
+    g.apply(cs)
+    return g
+
+
 def _seed_pair() -> tuple[SocialGraph, SocialGraph]:
-    pair = []
-    for storage in ("dynamic", "matrix"):
-        g = SocialGraph(storage=storage)
-        cs = ChangeSet(
-            [AddUser(100 + i) for i in range(4)]
-            + [AddPost(10, 1, 100)]
-            + [AddComment(20 + i, 2 + i, 100 + i % 4, 10) for i in range(3)]
-        )
-        g.apply(cs)
-        pair.append(g)
-    return pair[0], pair[1]
+    return _seed("dynamic"), _seed("matrix")
 
 
-@given(ops_seq=_edge_ops)
-@settings(max_examples=50, deadline=None)
-def test_random_edge_ops_agree(ops_seq):
-    dyn, mat = _seed_pair()
+def _to_changes(ops_seq) -> list:
     changes = []
     for kind, u, x in ops_seq:
         if kind == "like":
@@ -128,6 +126,14 @@ def test_random_edge_ops_agree(ops_seq):
             changes.append(AddFriendship(100 + u, 100 + x))
         elif kind == "unfriend" and u % 4 != x:
             changes.append(RemoveFriendship(100 + u, 100 + x))
+    return changes
+
+
+@given(ops_seq=_edge_ops)
+@settings(max_examples=50, deadline=None)
+def test_random_edge_ops_agree(ops_seq):
+    dyn, mat = _seed_pair()
+    changes = _to_changes(ops_seq)
     # split into a few change sets so flush boundaries are exercised
     third = max(1, len(changes) // 3)
     for lo in range(0, len(changes), third):
@@ -135,6 +141,27 @@ def test_random_edge_ops_agree(ops_seq):
         dyn.apply(cs)
         mat.apply(cs)
         assert_graphs_equal(dyn, mat)
+
+
+@given(load=_edge_ops, follow=_edge_ops)
+@settings(max_examples=40, deadline=None)
+def test_bulk_first_flush_agrees_with_per_row_flushes(load, follow):
+    """Edges that reach the arenas in one first flush -- the one-pass
+    layout a CSV/snapshot load takes -- equal the same edges flushed one
+    change at a time through the per-row path, and keep agreeing under a
+    follow-up stream."""
+    bulk, per_row, mat = _seed("dynamic"), _seed("dynamic"), _seed("matrix")
+    changes = _to_changes(load)
+    bulk.apply(ChangeSet(changes))
+    for ch in changes:
+        per_row.apply(ChangeSet([ch]))
+        mat.apply(ChangeSet([ch]))
+    assert_graphs_equal(bulk, per_row)
+    for ch in _to_changes(follow):
+        for g in (bulk, per_row, mat):
+            g.apply(ChangeSet([ch]))
+    assert_graphs_equal(bulk, per_row)
+    assert_graphs_equal(bulk, mat)
 
 
 def test_unknown_storage_rejected():

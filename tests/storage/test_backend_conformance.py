@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphblas.dynamic import DynamicMatrix
+from repro.graphblas.dynamic import DynamicMatrix, _block_cap
+from repro.graphblas.ops import plus
 from repro.graphblas.types import FP64, INT64
 from repro.storage import BACKENDS, make_store
 from repro.util.validation import ReproError
@@ -31,9 +32,9 @@ def _store(backend, tmp_path, name="conf"):
 
 
 def _mixed_stream(dm: DynamicMatrix) -> None:
-    """A deterministic gauntlet: bulk insert, overwrite, remove (block
-    shrink + free-list recycling), row growth past several capacity
-    classes, and a matrix resize."""
+    """A deterministic gauntlet: bulk insert (the one-pass cold-start
+    layout), overwrite, remove (block shrink + free-list recycling), row
+    growth past several capacity classes, and a matrix resize."""
     rng = np.random.default_rng(7)
     rows = rng.integers(0, dm.nrows, 400)
     cols = rng.integers(0, dm.ncols, 400)
@@ -220,3 +221,96 @@ def test_compact_is_invisible(ops_seq, backend, tmp_path_factory):
     compacted.set_element(5, 5, 3)
     assert plain.freeze().isequal(compacted.freeze())
     compacted.store.close()
+
+
+# -- hypothesis: the one-pass cold-start layout ----------------------------
+#
+# A bulk assign_coo into a still-empty arena lays every row out at once.
+# It must hold exactly what the per-row merge path holds for the same
+# batch -- accum, in-batch duplicates and a frozen view taken while empty
+# included -- and keep agreeing under any later mutation sequence.
+
+
+def _per_row_matrix(nrows: int, ncols: int) -> DynamicMatrix:
+    """An empty matrix whose arena is primed, so assign_coo merges row by row."""
+    dm = DynamicMatrix(INT64, nrows, ncols)
+    dm.set_element(0, 0, 1)
+    dm.remove_element(0, 0)
+    assert dm._used > 0 and dm.nvals == 0
+    return dm
+
+
+def _assert_same_content(a: DynamicMatrix, b: DynamicMatrix) -> None:
+    assert a.shape == b.shape
+    assert a.nvals == b.nvals
+    for x, y in zip(a.to_coo(), b.to_coo()):
+        assert np.array_equal(x, y)
+    assert a.freeze().isequal(b.freeze())
+    assert [a.row_degree(i) for i in range(a.nrows)] == [
+        b.row_degree(i) for i in range(b.nrows)
+    ]
+
+
+_triples = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)),
+    max_size=40,
+)
+_later = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "remove", "assign", "compact", "freeze"]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.integers(1, 9),
+    ),
+    max_size=30,
+)
+
+
+@given(
+    triples=_triples,
+    accum=st.booleans(),
+    frozen_while_empty=st.booleans(),
+    later=_later,
+    backend=st.sampled_from(ALL),
+)
+@settings(max_examples=40, deadline=None)
+def test_bulk_layout_equals_per_row_path(
+    triples, accum, frozen_while_empty, later, backend, tmp_path_factory
+):
+    bulk = DynamicMatrix(
+        INT64, 8, 8, store=_store(backend, tmp_path_factory.mktemp("bulk"))
+    )
+    ref = _per_row_matrix(8, 8)
+    if frozen_while_empty:
+        bulk.freeze()
+        ref.freeze()
+    op = plus if accum else None
+    rows = np.array([t[0] for t in triples], dtype=np.int64)
+    cols = np.array([t[1] for t in triples], dtype=np.int64)
+    vals = np.array([t[2] for t in triples], dtype=np.int64)
+    bulk.assign_coo(rows, cols, vals, accum=op)
+    ref.assign_coo(rows, cols, vals, accum=op)
+
+    lengths = bulk._len[: bulk.nrows]
+    assert bulk._cap[: bulk.nrows].tolist() == [
+        _block_cap(n) if n else 0 for n in lengths.tolist()
+    ]
+    assert bulk.memory_stats()["free_list_slots"] == 0
+    assert bulk.relocations == 0
+    assert bulk._used == bulk._cols.size == int(bulk._cap.sum())
+    _assert_same_content(bulk, ref)
+
+    for kind, i, j, v in later:
+        for dm in (bulk, ref):
+            if kind == "set":
+                dm.set_element(i, j, v)
+            elif kind == "remove":
+                dm.remove_element(i, j)
+            elif kind == "assign":
+                dm.assign_coo([i, j, i], [j, i, j], [v, v + 1, v + 2], accum=op)
+            elif kind == "compact":
+                dm.compact()
+            else:
+                dm.freeze()
+    _assert_same_content(bulk, ref)
+    bulk.store.close()
