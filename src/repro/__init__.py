@@ -18,9 +18,8 @@ Layer map (see DESIGN.md for the full inventory):
                        k-core, k-truss, LCC, betweenness, SCC, incremental
                        CC, plus ``online``: uniform servable entry points
                        with on_delta incremental maintainers
-``repro.model``        SocialGraph (dynamic arenas + dirty-row freeze, or
-                       legacy matrix log-flush), ChangeSets incl. removals,
-                       CSV + EMF/XMI IO
+``repro.model``        SocialGraph (dynamic arenas + dirty-row freeze),
+                       ChangeSets incl. removals, CSV + EMF/XMI IO
 ``repro.queries``      Q1/Q2 batch + incremental (the paper's contribution)
                        and the EngineBase serving protocol
 ``repro.nmf``          reference baseline: object-graph traversal (batch)

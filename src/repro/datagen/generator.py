@@ -78,7 +78,7 @@ def generate_graph(
     scale_factor: int,
     seed: int = 42,
     config: GeneratorConfig | None = None,
-    storage: str = "dynamic",
+    storage: str | None = None,
 ) -> SocialGraph:
     """Initial graph for one scale factor (deterministic in ``seed``)."""
     row = row_for(scale_factor)

@@ -3,7 +3,8 @@
 Composes the serving stack bottom-up from the same env vars the rest of
 the repo uses (``REPRO_SHARDS``, ``REPRO_REPLICAS``) plus the gateway's
 own ``REPRO_GATEWAY_*`` family, then serves until SIGINT/SIGTERM and
-drains gracefully.  This is what the CI ``tier1-gateway`` job boots.
+drains gracefully.  Every service serves its default engine,
+``graphblas-incremental``.  This is what the CI ``tier1-gateway`` job boots.
 
 Knobs (all optional):
 
@@ -21,8 +22,7 @@ Knobs (all optional):
 ``REPRO_REPLICAS``                        >0 -> replicated (sharded: per shard)
 ``REPRO_GATEWAY_DATA_DIR``                persistence root (required for
                                           replicas; temp dir otherwise)
-``REPRO_GATEWAY_TOOLS``                   comma list (default
-                                          graphblas-incremental)
+``REPRO_GATEWAY_MAX_BATCH``               micro-batch size (default 64)
 ========================================  =======================================
 """
 
@@ -53,16 +53,13 @@ def build_service(data_dir=None):
     """Compose the engine-owning service the env vars describe."""
     shards = _env_int("REPRO_SHARDS", 1)
     replicas = _env_int("REPRO_REPLICAS", 0)
-    tools = tuple(
-        os.environ.get("REPRO_GATEWAY_TOOLS", "graphblas-incremental").split(",")
-    )
     max_batch = _env_int("REPRO_GATEWAY_MAX_BATCH", 64)
     if shards > 1:
         from repro.sharding import ShardedGraphService
 
         return ShardedGraphService(
-            shards=shards, replicas=replicas, tools=tools,
-            max_batch=max_batch, data_dir=data_dir,
+            shards=shards, replicas=replicas, max_batch=max_batch,
+            data_dir=data_dir,
         )
     if replicas > 0:
         from repro.replication import ReplicatedGraphService
@@ -70,12 +67,11 @@ def build_service(data_dir=None):
         if data_dir is None:
             raise SystemExit("REPRO_REPLICAS needs REPRO_GATEWAY_DATA_DIR")
         return ReplicatedGraphService(
-            replicas=replicas, data_dir=data_dir, tools=tools,
-            max_batch=max_batch,
+            replicas=replicas, data_dir=data_dir, max_batch=max_batch,
         )
     from repro.serving import GraphService
 
-    return GraphService(tools=tools, max_batch=max_batch, data_dir=data_dir)
+    return GraphService(max_batch=max_batch, data_dir=data_dir)
 
 
 def build_gateway(service) -> Gateway:

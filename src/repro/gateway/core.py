@@ -38,7 +38,7 @@ Design invariants, in order of importance:
 
 >>> from repro.model.changes import AddUser
 >>> from repro.serving import GraphService
->>> svc = GraphService(tools=("graphblas-incremental",), max_batch=1)
+>>> svc = GraphService(max_batch=1)
 >>> gw = Gateway(svc, queue_limit=4)
 >>> gw.submit([AddUser(1)])
 1

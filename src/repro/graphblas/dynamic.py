@@ -428,7 +428,7 @@ class DynamicMatrix:
         """Bulk insert/overwrite of (row, col, value) triples.
 
         With ``accum`` (a BinaryOp), values combine with existing entries
-        instead of overwriting -- the log-flush idiom of the social graph.
+        instead of overwriting.
         Duplicates *within the batch* also combine under ``accum`` (they
         overwrite left-to-right without it).
         """

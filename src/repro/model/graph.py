@@ -6,21 +6,18 @@ inserts are buffered and flushed in one vectorised batch per relation
 whenever a matrix is read, so loading a graph of any size is O(E log E),
 not O(E * nnz).
 
-Two storage strategies back those matrix views (``storage=`` ctor arg):
-
-* ``"dynamic"`` (default) -- each relation lives in a
-  :class:`~repro.graphblas.dynamic.DynamicMatrix` arena (the paper's
-  future-work item (1)): a flush costs O(Δ·degree) block updates, and the
-  served compute ``Matrix`` is refreshed through the dirty-row freeze
-  (only rows touched since the last read are re-canonicalised -- no O(nnz
-  log nnz) rebuild, and the cached ``indptr``/transpose survive reads that
-  change nothing).  A likes-*transpose* arena (|users| x |comments|) is
-  maintained alongside, giving :meth:`SocialGraph.comments_liked_by` the
-  O(degree) per-user index the delta-targeted Q2 detection reads.
-* ``"matrix"`` -- the legacy log-flush scheme: one immutable canonical
-  :class:`Matrix` per relation, each flush an O(nnz) ``assign_coo`` /
-  ``remove_coo`` merge.  Kept as the property-test oracle and the
-  benchmark baseline.
+Each relation lives in a :class:`~repro.graphblas.dynamic.DynamicMatrix`
+arena (the paper's future-work item (1)): a flush costs O(Δ·degree) block
+updates, and the served compute ``Matrix`` is refreshed through the
+dirty-row freeze (only rows touched since the last read are
+re-canonicalised -- no O(nnz log nnz) rebuild, and the cached
+``indptr``/transpose survive reads that change nothing).  A
+likes-*transpose* arena (|users| x |comments|) is maintained alongside,
+giving :meth:`SocialGraph.comments_liked_by` the O(degree) per-user index
+the delta-targeted Q2 detection reads.  The ``storage=`` ctor arg picks
+where the arena arrays live (``heap``/``mmap``/``sqlite``, see
+:mod:`repro.storage`); the property suites check the graph against a
+plain-set edge model (``tests/model/edge_model.py``).
 
 :meth:`SocialGraph.apply` consumes a :class:`~repro.model.changes.ChangeSet`
 and returns a :class:`GraphDelta`, the exact inputs the paper's incremental
@@ -62,37 +59,10 @@ from repro.util.validation import ReproError
 __all__ = ["SocialGraph", "GraphDelta"]
 
 
-class _MatrixRelation:
-    """Legacy log-flush storage: canonical Matrix, O(nnz) merge per flush."""
-
-    __slots__ = ("_m",)
-    kind = "matrix"
-
-    def __init__(self) -> None:
-        self._m = Matrix.sparse(_gbtypes.BOOL, 0, 0)
-
-    def resize(self, nrows: int, ncols: int) -> None:
-        self._m.resize(nrows, ncols)
-
-    def add(self, rows, cols) -> None:
-        self._m.assign_coo(rows, cols, True)
-
-    def remove(self, rows, cols) -> None:
-        self._m.remove_coo(rows, cols)
-
-    def view(self) -> Matrix:
-        return self._m
-
-    @property
-    def nvals(self) -> int:
-        return self._m.nvals
-
-
-class _DynamicRelation:
-    """Rebuild-free storage: DynamicMatrix arena + dirty-row freeze."""
+class _Relation:
+    """One relation: a DynamicMatrix arena served through the dirty-row freeze."""
 
     __slots__ = ("_dm",)
-    kind = "dynamic"
 
     def __init__(self, store=None) -> None:
         self._dm = DynamicMatrix(_gbtypes.BOOL, 0, 0, store=store)
@@ -209,14 +179,13 @@ class SocialGraph:
     """Users, Posts, Comments and their relations, stored as matrices."""
 
     def __init__(self, storage: Optional[str] = None, *, storage_dir=None) -> None:
-        # "matrix" / "dynamic" / a backend name ("heap"/"mmap"/"sqlite");
-        # None and "dynamic" defer the backend to REPRO_STORAGE (see
-        # repro.storage.resolve_storage), so one env knob flips every
-        # default-constructed graph in the process
-        self.storage, self.backend = resolve_storage(storage)
+        #: the arena backend ("heap"/"mmap"/"sqlite"); None defers to
+        #: REPRO_STORAGE (see repro.storage.resolve_storage), so one env
+        #: knob flips every default-constructed graph in the process
+        self.backend = resolve_storage(storage)
         self._storage_dir = None
         self._dir_finalizer = None
-        if self.backend not in (None, "heap"):
+        if self.backend != "heap":
             if storage_dir is None:
                 d = tempfile.mkdtemp(prefix="repro-arenas-")
                 # owned temp dir: reclaimed at GC (or an explicit close());
@@ -243,21 +212,13 @@ class SocialGraph:
         #: root post of each comment (internal post idx) -- the rootPost pointer
         self._comment_root = IntArrayList()
 
-        if self.storage == "matrix":
-            self._rel = {
-                name: _MatrixRelation()
-                for name in ("root_post", "likes", "friends", "commented")
-            }
-            self._likes_t = None
-        else:
-            self._rel = {
-                name: _DynamicRelation(self._make_store(name))
-                for name in ("root_post", "likes", "friends", "commented")
-            }
-            #: |users| x |comments| mirror of likes, the per-user index behind
-            #: :meth:`comments_liked_by` (dynamic storage only; the matrix
-            #: strategy reads the cached ``likes.T`` instead)
-            self._likes_t = _DynamicRelation(self._make_store("likes_t"))
+        self._rel = {
+            name: _Relation(self._make_store(name))
+            for name in ("root_post", "likes", "friends", "commented")
+        }
+        #: |users| x |comments| mirror of likes, the per-user index behind
+        #: :meth:`comments_liked_by`
+        self._likes_t = _Relation(self._make_store("likes_t"))
 
         self._pending: dict[str, list] = {
             "root_post": [],
@@ -276,40 +237,18 @@ class SocialGraph:
         return make_store(self.backend, directory=self._storage_dir, name=name)
 
     def _arena_relations(self) -> dict:
-        rels: dict = dict(self._rel)
-        rels["likes_t"] = self._likes_t
-        return rels
-
-    @property
-    def storage_spec(self) -> str:
-        """The ``storage=`` argument that recreates this graph's layout.
-
-        Unlike :attr:`storage` (the relation *kind*, ``"matrix"`` or
-        ``"dynamic"``), this also pins the arena backend -- what the
-        sharded partitioner passes so shards inherit the source graph's
-        storage, byte layout included.
-        """
-        if self.storage == "matrix":
-            return "matrix"
-        return self.backend
+        return {**self._rel, "likes_t": self._likes_t}
 
     def storage_bytes(self) -> int:
         """Resident arena bytes (file bytes for file-backed backends)."""
         self._flush()
-        if self.storage == "dynamic":
-            return sum(
-                rel._dm.store.nbytes()
-                for rel in self._arena_relations().values()
-            )
-        total = 0
-        for rel in self._rel.values():
-            m = rel.view()
-            total += m._rows.nbytes + m._cols.nbytes + m._values.nbytes
-        return total
+        return sum(
+            rel._dm.store.nbytes() for rel in self._arena_relations().values()
+        )
 
     def flush_storage(self) -> bool:
         """Persist every arena through its store; False when not file-backed."""
-        if self.storage != "dynamic" or self.backend == "heap":
+        if self.backend == "heap":
             return False
         self._flush()
         for rel in self._arena_relations().values():
@@ -318,8 +257,8 @@ class SocialGraph:
 
     def snapshot_arenas(self, dest) -> Optional[str]:
         """Flush + copy every arena into ``dest``; the backend name, or
-        None when this graph has no durable arenas (heap/matrix -- the
-        snapshot store then relies on the CSV serialisation alone)."""
+        None when this graph has no durable arenas (heap -- the snapshot
+        store then relies on the CSV serialisation alone)."""
         if not self.flush_storage():
             return None
         dest = Path(dest)
@@ -355,9 +294,8 @@ class SocialGraph:
         views keep working afterwards -- POSIX keeps unlinked files
         readable while mapped -- but further flushes/snapshots will fail.
         """
-        if self.storage == "dynamic":
-            for rel in self._arena_relations().values():
-                rel._dm.store.close()
+        for rel in self._arena_relations().values():
+            rel._dm.store.close()
         if self._dir_finalizer is not None:
             self._dir_finalizer()
 
@@ -490,8 +428,7 @@ class SocialGraph:
         rel["likes"].resize(nc, nu)
         rel["friends"].resize(nu, nu)
         rel["commented"].resize(nc, nc)
-        if self._likes_t is not None:
-            self._likes_t.resize(nu, nc)
+        self._likes_t.resize(nu, nc)
         if not dirty:
             return
         if pend["root_post"]:
@@ -502,12 +439,10 @@ class SocialGraph:
             adds, removes = self._resolve_ops(pend["likes"])
             if adds.size:
                 rel["likes"].add(adds[:, 0], adds[:, 1])
-                if self._likes_t is not None:
-                    self._likes_t.add(adds[:, 1], adds[:, 0])
+                self._likes_t.add(adds[:, 1], adds[:, 0])
             if removes.size:
                 rel["likes"].remove(removes[:, 0], removes[:, 1])
-                if self._likes_t is not None:
-                    self._likes_t.remove(removes[:, 1], removes[:, 0])
+                self._likes_t.remove(removes[:, 1], removes[:, 0])
             pend["likes"].clear()
         if pend["friends"]:
             adds, removes = self._resolve_ops(pend["friends"])
@@ -572,35 +507,23 @@ class SocialGraph:
     def likers_of(self, comment_idx: int) -> np.ndarray:
         """Sorted internal user indices liking the comment -- O(degree).
 
-        Reads the likes storage directly, *without* forcing a freeze of the
-        likes matrix: on the dynamic storage a like-only change set can be
-        scored straight off the arena rows.
+        Reads the likes arena directly, *without* forcing a freeze of the
+        likes matrix: a like-only change set can be scored straight off the
+        arena rows.
         """
         self._flush()
-        if self.storage == "dynamic":
-            users = self._rel["likes"].row_cols(comment_idx)
-            users.sort()  # row_cols returns a copy; in-place is safe
-            return users
-        likes = self._rel["likes"].view()
-        ip = likes.indptr
-        # copy: callers may mutate (the dynamic branch sorts in place), and a
-        # live view into Matrix._cols must never leak
-        return likes._cols[ip[comment_idx] : ip[comment_idx + 1]].copy()
+        users = self._rel["likes"].row_cols(comment_idx)
+        users.sort()  # row_cols returns a copy; in-place is safe
+        return users
 
     def comments_liked_by(self, user_idx: int) -> np.ndarray:
         """Internal indices of the comments ``user_idx`` likes.
 
-        O(degree): the dynamic storage reads its maintained likes-transpose
-        arena; the matrix storage reads a row of the cached ``likes.T``
-        (rebuilt only when likes actually changed, thanks to the
-        cache-preserving flush).  The returned order is unspecified.
+        O(degree): reads a row of the maintained likes-transpose arena.
+        The returned order is unspecified.
         """
         self._flush()
-        if self._likes_t is not None:
-            return self._likes_t.row_cols(user_idx)
-        t = self._rel["likes"].view().T
-        ip = t.indptr
-        return t._cols[ip[user_idx] : ip[user_idx + 1]].copy()
+        return self._likes_t.row_cols(user_idx)
 
     def comments_liked_by_both(self, user_a: int, user_b: int) -> np.ndarray:
         """Comments that *both* users like -- O(deg(a) + deg(b)).
@@ -752,28 +675,18 @@ class SocialGraph:
             "edges": n_edges,
             "likes": rel["likes"].nvals,
             "friendships": len(self._friend_keys),
-            "storage": self.storage,
         }
 
     def storage_stats(self) -> dict:
-        """Per-relation storage accounting (arena occupancy when dynamic)."""
-        self._flush()
-        out: dict = {
-            "kind": self.storage,
+        """Per-relation arena occupancy, backend and resident bytes."""
+        return {
             "backend": self.backend,
             "bytes": self.storage_bytes(),
+            "relations": {
+                name: rel._dm.memory_stats()
+                for name, rel in self._arena_relations().items()
+            },
         }
-        if self.storage == "dynamic":
-            relations = dict(self._rel)
-            relations["likes_t"] = self._likes_t
-            out["relations"] = {
-                name: rel._dm.memory_stats() for name, rel in relations.items()
-            }
-        else:
-            out["relations"] = {
-                name: {"filled_slots": rel.nvals} for name, rel in self._rel.items()
-            }
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats()

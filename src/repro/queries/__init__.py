@@ -17,7 +17,13 @@ TTC phase sequence (load -> initial evaluation -> update -> reevaluation).
 from repro.queries.topk import TopKTracker, top_k
 from repro.queries.q1 import Q1Batch, Q1Incremental
 from repro.queries.q2 import Q2Batch, Q2Incremental
-from repro.queries.engine import EngineBase, QueryEngine, make_engine, TOOL_NAMES
+from repro.queries.engine import (
+    EngineBase,
+    QueryEngine,
+    make_engine,
+    SERVED_TOOLS,
+    TOOL_NAMES,
+)
 
 __all__ = [
     "TopKTracker",
@@ -29,5 +35,6 @@ __all__ = [
     "EngineBase",
     "QueryEngine",
     "make_engine",
+    "SERVED_TOOLS",
     "TOOL_NAMES",
 ]

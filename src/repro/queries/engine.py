@@ -30,7 +30,7 @@ from repro.queries.q1 import Q1Batch, Q1Incremental
 from repro.queries.q2 import Q2Batch, Q2Incremental
 from repro.util.validation import ReproError
 
-__all__ = ["EngineBase", "QueryEngine", "make_engine", "TOOL_NAMES"]
+__all__ = ["EngineBase", "QueryEngine", "make_engine", "SERVED_TOOLS", "TOOL_NAMES"]
 
 #: the Fig. 5 tool names (NMF variants are created through make_engine too)
 TOOL_NAMES = (
@@ -40,14 +40,35 @@ TOOL_NAMES = (
     "nmf-incremental",
 )
 
+#: the tools a service may serve: the paper's answer (incremental) and its
+#: specification (batch), side by side as an in-service reference.  Both
+#: speak ``refresh(delta)`` and the mergeable-partial protocol; the NMF
+#: baselines stay Fig. 5 tools, off the served path.
+SERVED_TOOLS = ("graphblas-incremental", "graphblas-batch")
+
+
+def require_served(tools) -> None:
+    """Raise :class:`ReproError` unless every name is in :data:`SERVED_TOOLS`."""
+    for t in tools:
+        if t in SERVED_TOOLS:
+            continue
+        if t in TOOL_NAMES:
+            raise ReproError(
+                f"tool {t!r} is a Fig. 5 baseline and is not served; build "
+                "it with repro.queries.make_engine or run it through "
+                "repro.benchmark.runner"
+            )
+        raise ReproError(f"unknown tool {t!r}; expected one of {SERVED_TOOLS}")
+
 
 class EngineBase:
     """The engine protocol every served tool speaks.
 
     :class:`~repro.serving.service.GraphService` drives any object with
-    this surface -- the Fig. 5 query engines here, the analytics engines
-    in :mod:`repro.analytics`, and the NMF baselines (which predate the
-    ``refresh`` hook and are fanned the raw change set instead):
+    this surface -- the served query engines here and the analytics
+    engines in :mod:`repro.analytics`.  (The NMF baselines of
+    :mod:`repro.nmf` speak only ``load``/``initial``/``update`` and run
+    through :func:`make_engine` and :mod:`repro.benchmark`, never served.)
 
     ========================  ============================================
     ``load(graph)``           adopt the shared :class:`SocialGraph`
@@ -91,6 +112,9 @@ class EngineBase:
     #: class default: implementations *assign* a fresh list per evaluation
     #: (mutating a shared class-level list would cross-contaminate engines)
     last_top: tuple | list = ()
+    #: refreshes since the served result was last exact; query engines are
+    #: exact every batch, dirty-threshold analytics engines may lag
+    staleness: int = 0
 
     def load(self, graph: SocialGraph) -> None:
         raise NotImplementedError
@@ -117,8 +141,7 @@ class EngineBase:
         Engines that can be sharded return a partial restricted to the
         entities their shard owns; the router folds one partial per shard
         through :meth:`merge_partials`.  The base implementation declares
-        the engine unshardable (the NMF baselines, for instance, predate
-        the protocol).
+        the engine unshardable.
         """
         raise ReproError(
             f"{type(self).__name__} does not implement the mergeable-result "

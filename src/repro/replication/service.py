@@ -99,7 +99,6 @@ class ReplicatedGraphService:
     >>> import tempfile
     >>> from repro.model.changes import AddFriendship, AddUser
     >>> svc = ReplicatedGraphService(replicas=1, data_dir=tempfile.mkdtemp(),
-    ...                              tools=("graphblas-incremental",),
     ...                              max_batch=1)
     >>> svc.submit([AddUser(1), AddUser(2)])
     1

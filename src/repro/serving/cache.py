@@ -70,8 +70,8 @@ class CachedResult:
 class ResultCache:
     """(query, tool) -> latest :class:`CachedResult`.
 
-    One entry per registered engine -- the four Fig. 5 (query, tool)
-    pairs plus one per analytics tool (keyed ``(name, name)``).
+    One entry per registered engine -- one per served (query, tool) pair
+    plus one per analytics tool (keyed ``(name, name)``).
 
     Bookkeeping: every :meth:`get` counts as a hit or (raising) miss, and
     every :meth:`put` replacing an entry stamped with a *different* service
@@ -83,8 +83,8 @@ class ResultCache:
     ``repro_cache_*`` counters at scrape time.
 
     >>> cache = ResultCache()
-    >>> cache.put(CachedResult("Q2", "nmf-batch", 1, ((21, 4),), "21", 0.0))
-    >>> cache.get("Q2", "nmf-batch").result_string
+    >>> cache.put(CachedResult("Q2", "graphblas-incremental", 1, ((21, 4),), "21", 0.0))
+    >>> cache.get("Q2", "graphblas-incremental").result_string
     '21'
     >>> cache.has("Q2", "graphblas-batch")
     False

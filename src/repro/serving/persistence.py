@@ -399,9 +399,7 @@ class SnapshotStore:
         if tmp.exists():  # leftover of a crashed attempt at this version
             shutil.rmtree(tmp)
         save_graph(tmp, graph)
-        arenas = None
-        if hasattr(graph, "snapshot_arenas"):
-            arenas = graph.snapshot_arenas(tmp / "arenas")
+        arenas = graph.snapshot_arenas(tmp / "arenas")
         meta = {"schema": _SCHEMA, "version": version}
         if arenas:
             meta["arenas"] = arenas
@@ -464,14 +462,10 @@ class SnapshotStore:
             raise ReproError(
                 f"snapshot {path} has unreadable meta.json: {exc}"
             ) from None
-        kind, backend = resolve_storage(storage)
-        adopt = (
-            kind == "dynamic"
-            and backend != "heap"
-            and meta.get("arenas") == backend
-        )
+        backend = resolve_storage(storage)
+        adopt = backend != "heap" and meta.get("arenas") == backend
         graph = load_graph(
-            path, storage=storage, storage_dir=storage_dir, edges=not adopt
+            path, storage=backend, storage_dir=storage_dir, edges=not adopt
         )
         if adopt:
             graph.adopt_arenas(path / "arenas")

@@ -1,9 +1,15 @@
-"""GraphService: one shared graph, many engines, streamed updates, O(1) reads.
+"""GraphService: one shared graph, its engines, streamed updates, O(1) reads.
 
 This is the component the ROADMAP's "serve heavy traffic" north star asks
 for and the offline benchmark harness is not: a long-running owner of one
 :class:`~repro.model.graph.SocialGraph` plus a registry of query engines
-(all four Fig. 5 tool variants by default) that
+that
+
+* serves the paper's answer: ``graphblas-incremental`` by default, one
+  engine per query.  ``graphblas-batch`` -- the paper's specification --
+  may be served beside it as an in-service reference; the NMF baselines
+  are Fig. 5 tools only (:func:`~repro.queries.engine.make_engine`,
+  :mod:`repro.benchmark.runner`) and are rejected here;
 
 * ingests single :class:`~repro.model.changes.Change`\\ s or whole
   :class:`~repro.model.changes.ChangeSet`\\ s through a micro-batching
@@ -11,9 +17,8 @@ for and the offline benchmark harness is not: a long-running owner of one
   first -- see :mod:`repro.serving.ingest`);
 * applies each coalesced batch to the graph **exactly once** and hands
   the resulting :class:`~repro.model.graph.GraphDelta` to every engine in
-  turn (the GraphBLAS query and analytics engines consume the delta via
-  ``refresh`` -- the :class:`~repro.queries.engine.EngineBase` protocol --
-  the NMF engines mirror the raw change set into their object model);
+  turn through ``refresh`` (the :class:`~repro.queries.engine.EngineBase`
+  protocol);
 * optionally serves the :mod:`repro.lagraph` algorithm layer the same way:
   ``analytics=("components", "pagerank", ...)`` registers
   :class:`~repro.analytics.AnalyticsEngine`\\ s that maintain their
@@ -52,7 +57,7 @@ from repro.model.changes import Change, ChangeSet
 from repro.model.graph import SocialGraph
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.trace import current_span, get_tracer, span_if, trace_output_path
-from repro.queries.engine import TOOL_NAMES, make_engine
+from repro.queries.engine import make_engine, require_served
 from repro.serving.cache import CachedResult, ResultCache
 from repro.serving.ingest import MicroBatcher, SubmitGate, coerce_changes
 from repro.serving.persistence import ChangeLog, SnapshotStore, dir_bytes
@@ -76,8 +81,10 @@ CRASH_POST_APPEND = register_crash_point(
 class GraphService:
     """Streaming query-serving facade over the paper's engines.
 
-    Beyond the Fig. 5 query tools, the service registers **analytics
-    tools** (``analytics=`` ctor arg, names from
+    ``tools=`` names the served query engines, from
+    :data:`~repro.queries.engine.SERVED_TOOLS`; the default serves the
+    incremental engine alone.  Beyond the query tools, the service
+    registers **analytics tools** (``analytics=`` ctor arg, names from
     :data:`repro.analytics.ANALYTICS_NAMES`): long-running
     :class:`~repro.analytics.AnalyticsEngine`\\ s maintaining a
     :mod:`repro.lagraph` algorithm over the friends graph.  They ride the
@@ -86,8 +93,7 @@ class GraphService:
     :attr:`~repro.serving.cache.CachedResult.computed_version`.
 
     >>> from repro.model.changes import AddFriendship, AddUser
-    >>> svc = GraphService(tools=("graphblas-incremental",),
-    ...                    analytics=("components", "degree"), max_batch=1)
+    >>> svc = GraphService(analytics=("components", "degree"), max_batch=1)
     >>> svc.submit([AddUser(1), AddUser(2), AddUser(3)])
     1
     >>> svc.submit(AddFriendship(1, 2))
@@ -96,7 +102,7 @@ class GraphService:
     ((1, 2), (3, 1))
     >>> svc.query("degree").result_string
     '1|2|3'
-    >>> svc.query("Q1").version          # Fig. 5 tools are still served
+    >>> svc.query("Q1").version          # the query engines are still served
     2
     >>> svc.close()
     """
@@ -107,7 +113,7 @@ class GraphService:
         *,
         storage: Optional[str] = None,
         queries: tuple = _QUERIES,
-        tools: tuple = TOOL_NAMES,
+        tools: tuple = ("graphblas-incremental",),
         analytics: tuple = (),
         analytics_threshold: float = 0.1,
         k: int = 3,
@@ -127,9 +133,7 @@ class GraphService:
         for q in queries:
             if q not in _QUERIES:
                 raise ReproError(f"unknown query {q!r}")
-        for t in tools:
-            if t not in TOOL_NAMES:
-                raise ReproError(f"unknown tool {t!r}; expected one of {TOOL_NAMES}")
+        require_served(tools)
         for a in analytics:
             if a not in ANALYTICS_NAMES:
                 raise ReproError(
@@ -436,7 +440,7 @@ class GraphService:
                 with self._t_apply.time():
                     with span_if(tr, "apply"):
                         delta = self.graph.apply(batch)
-                    self._refresh_engines(batch, delta, next_version)
+                    self._refresh_engines(delta, next_version)
         except BaseException:
             self._failed = True
             raise
@@ -453,7 +457,7 @@ class GraphService:
     # engine refresh
     # ------------------------------------------------------------------
 
-    def _refresh_engines(self, batch: ChangeSet, delta, next_version: int) -> None:
+    def _refresh_engines(self, delta, next_version: int) -> None:
         """Refresh every engine with one applied delta and publish its result.
 
         One loop in engine registration order: refresh the engine, record
@@ -469,12 +473,7 @@ class GraphService:
                 status = "err"
                 t0 = WallClock.now()
                 try:
-                    if hasattr(engine, "refresh"):
-                        result_string = engine.refresh(delta)
-                    else:
-                        # NMF engines mirror the change set into their own
-                        # object model; the shared graph is already updated
-                        result_string = engine.update(batch)
+                    result_string = engine.refresh(delta)
                     status = "ok"
                 finally:
                     dt = WallClock.now() - t0
@@ -482,7 +481,7 @@ class GraphService:
                         tr.record("refresh", t0, dt, parent=parent,
                                   query=query, tool=tool, status=status)
                 self._t_refresh[tool].observe(dt)
-                staleness = getattr(engine, "staleness", 0)
+                staleness = engine.staleness
                 self._staleness[tool].set(staleness)
                 self._cache.put(
                     CachedResult(
@@ -628,8 +627,7 @@ class GraphService:
         ``repro_storage_bytes`` (labelled by arena backend) and the
         ``repro_cache_*`` counters, advanced to the cache's own totals.
         Returns the cache stats."""
-        backend = self.graph.backend or self.graph.storage
-        self.registry.gauge("repro_storage_bytes", backend=backend).set(
+        self.registry.gauge("repro_storage_bytes", backend=self.graph.backend).set(
             self.graph.storage_bytes()
         )
         cache = self._cache.stats()

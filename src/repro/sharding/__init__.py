@@ -36,7 +36,6 @@ from repro.sharding.partition import partition_graph, shard_of, shard_of_array
 __all__ = [
     "InProcessShardHandle",
     "ProcessShardHandle",
-    "SHARDABLE_TOOLS",
     "ShardCrashed",
     "ShardedGraphService",
     "default_shard_backend",
@@ -49,7 +48,7 @@ __all__ = [
     "shard_of_array",
 ]
 
-_ROUTER_EXPORTS = ("ShardedGraphService", "SHARDABLE_TOOLS", "default_shards")
+_ROUTER_EXPORTS = ("ShardedGraphService", "default_shards")
 
 
 def __getattr__(name: str):

@@ -105,7 +105,7 @@ def partition_graph(
     if num_shards == 1:
         return [graph], post_shard, comment_shard
 
-    shards = [SocialGraph(storage=graph.storage_spec) for _ in range(num_shards)]
+    shards = [SocialGraph(storage=graph.backend) for _ in range(num_shards)]
     for ch in graph.to_change_stream():
         if isinstance(ch, (AddUser, AddFriendship)):
             targets = range(num_shards)

@@ -66,6 +66,7 @@ from repro.model.graph import SocialGraph
 from repro.obs.metrics import MetricsRegistry, merge_expositions, render_prometheus
 from repro.replication.service import ReplicatedGraphService
 from repro.obs.trace import current_span, get_tracer, span_if
+from repro.queries.engine import require_served
 from repro.serving.cache import CachedResult
 from repro.serving.ingest import MicroBatcher, SubmitGate, coerce_changes
 from repro.serving.persistence import ChangeLog
@@ -81,11 +82,7 @@ from repro.sharding.partition import partition_graph, shard_of
 from repro.util.timer import WallClock
 from repro.util.validation import DeadlineExceeded, ReproError
 
-__all__ = ["SHARDABLE_TOOLS", "ShardedGraphService", "default_shards"]
-
-#: tools implementing the mergeable-result protocol (the NMF baselines
-#: predate it and keep running unsharded)
-SHARDABLE_TOOLS = ("graphblas-batch", "graphblas-incremental")
+__all__ = ["ShardedGraphService", "default_shards"]
 
 _META_FILE = "router.json"
 _META_SCHEMA = 1
@@ -171,8 +168,8 @@ class ShardedGraphService:
     oracle).
 
     >>> from repro.model.changes import AddFriendship, AddUser
-    >>> svc = ShardedGraphService(shards=2, tools=("graphblas-incremental",),
-    ...                           analytics=("components",), max_batch=1)
+    >>> svc = ShardedGraphService(shards=2, analytics=("components",),
+    ...                           max_batch=1)
     >>> svc.submit([AddUser(1), AddUser(2), AddUser(3)])
     1
     >>> svc.submit(AddFriendship(1, 2))
@@ -192,7 +189,7 @@ class ShardedGraphService:
         replicas: int = 0,
         backend: Optional[str] = None,
         queries: tuple = ("Q1", "Q2"),
-        tools: tuple = SHARDABLE_TOOLS,
+        tools: tuple = ("graphblas-incremental",),
         analytics: tuple = (),
         analytics_threshold: float = 0.1,
         k: int = 3,
@@ -219,12 +216,7 @@ class ShardedGraphService:
                 "replicated shards keep replica state on disk; pass data_dir "
                 "when replicas > 0"
             )
-        for t in tools:
-            if t not in SHARDABLE_TOOLS:
-                raise ReproError(
-                    f"tool {t!r} does not implement the mergeable-result "
-                    f"protocol; sharded serving supports {SHARDABLE_TOOLS}"
-                )
+        require_served(tools)
         self.num_shards = shards
         self.num_replicas = replicas
         self.backend = validate_backend(backend or default_shard_backend())

@@ -30,11 +30,12 @@ conformance suite (``tests/storage/``) drives identical mutation streams
 ``SocialGraph(storage=...)`` and ``GraphService(storage=...)``, with the
 ``REPRO_STORAGE`` environment variable steering every
 default-constructed graph (how the ``tier1-mmap`` CI job runs whole
-suites out-of-core).
+suites out-of-core); an unknown name, passed or from the environment,
+raises :class:`~repro.util.validation.ReproError`.
 
 >>> from repro.storage import make_store, resolve_storage
->>> resolve_storage("dynamic")[0]
-'dynamic'
+>>> resolve_storage("mmap")
+'mmap'
 >>> store = make_store("heap")
 >>> arr = store.new("cols", 4, "int64")
 >>> arr[0] = 7
@@ -156,30 +157,24 @@ class ArenaStorage:
 BACKENDS = {"heap": False, "mmap": True, "sqlite": True}
 
 
-def resolve_storage(storage: Optional[str] = None) -> tuple[str, Optional[str]]:
-    """Resolve a user-facing ``storage=`` spec to ``(kind, backend)``.
+def resolve_storage(storage: Optional[str] = None) -> str:
+    """Resolve a user-facing ``storage=`` spec to an arena backend name.
 
-    ``kind`` is ``"matrix"`` (the legacy log-flush oracle, no arena) or
-    ``"dynamic"`` (arena-backed), and ``backend`` names the arena home
-    for dynamic graphs.  ``None`` and ``"dynamic"`` defer to the
-    ``REPRO_STORAGE`` environment variable (default ``heap``), so one
-    env knob flips every default-constructed graph in the process;
-    ``"heap"``/``"mmap"``/``"sqlite"`` pin the backend explicitly.
+    ``"heap"``/``"mmap"``/``"sqlite"`` pin the backend explicitly;
+    ``None`` defers to the ``REPRO_STORAGE`` environment variable
+    (default ``heap``), so one env knob flips every default-constructed
+    graph in the process.  Any other value -- passed or from the
+    environment -- raises instead of silently falling back.
     """
-    env = os.environ.get("REPRO_STORAGE", "").strip().lower()
+    source = "storage"
     if storage is None:
-        storage = "matrix" if env == "matrix" else "dynamic"
-    if storage == "matrix":
-        return ("matrix", None)
-    if storage == "dynamic":
-        backend = env if env in BACKENDS else "heap"
-        return ("dynamic", backend)
-    if storage in BACKENDS:
-        return ("dynamic", storage)
-    raise ReproError(
-        f"unknown storage {storage!r}; expected one of "
-        f"{sorted(('matrix', 'dynamic', *BACKENDS))}"
-    )
+        source = "REPRO_STORAGE"
+        storage = os.environ.get(source, "").strip().lower() or "heap"
+    if storage not in BACKENDS:
+        raise ReproError(
+            f"unknown {source} {storage!r}; expected one of {sorted(BACKENDS)}"
+        )
+    return storage
 
 
 def make_store(backend: str, *, directory=None, name: str = "arena") -> ArenaStorage:

@@ -5,7 +5,9 @@
 * every ``repro.*`` dotted name mentioned in ``README.md`` / ``DESIGN.md``
   imports (module) or resolves (attribute);
 * every repo-relative file path mentioned there exists;
-* every markdown link target in ``README.md`` exists.
+* every markdown link target in ``README.md`` exists;
+* the ``REPRO_*`` knobs ``src/`` reads are exactly the ones README's
+  Environment table documents.
 """
 
 from __future__ import annotations
@@ -89,3 +91,19 @@ def test_design_documents_the_analytics_layer():
     assert "repro.analytics" in text
     for term in ("dirty", "incremental", "computed_version", "ComponentsMaintainer"):
         assert term in text, f"DESIGN.md analytics section lost {term!r}"
+
+
+def test_environment_table_lists_exactly_the_knobs_src_reads():
+    read = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        read |= set(re.findall(r"[\"'](REPRO_[A-Z0-9_]+)[\"']", path.read_text()))
+    section = _read("README.md").split("## Environment knobs", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `REPRO_"):
+            documented |= set(re.findall(r"REPRO_[A-Z0-9_]+", line.split("|")[1]))
+    assert read == documented, (
+        f"undocumented: {sorted(read - documented)}; "
+        f"stale rows: {sorted(documented - read)}"
+    )

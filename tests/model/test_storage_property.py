@@ -1,10 +1,13 @@
-"""Property: the two SocialGraph storage strategies are indistinguishable.
+"""Property: every arena backend stores exactly what a plain-set model says.
 
-A Matrix-backed (legacy log-flush) and a DynamicMatrix-backed (rebuild-free)
-graph driven through the same change stream -- inserts, removals, duplicate
-and cancelling ops -- must expose identical canonical COO for all four
-relations and identical Q1/Q2 top-k at every step.  This is the oracle that
-lets the serving path default to the dynamic storage.
+A SocialGraph on each backend (``heap``, ``mmap``, ``sqlite``) driven
+through a change stream -- inserts, removals, duplicate and cancelling
+ops -- must expose the canonical COO of the edge model's oracle matrices
+(``tests/model/edge_model.py``) for all four relations and the
+likes-transpose index, and each applied change set must report the
+model's edge delta.  Graphs fed the same edges through different flush
+paths (one bulk first flush vs per-row flushes) also serve identical
+Q1/Q2 top-k.
 """
 
 from __future__ import annotations
@@ -27,22 +30,27 @@ from repro.model import (
     SocialGraph,
 )
 from repro.queries import Q1Batch, Q2Batch
+from tests.model.edge_model import RELATIONS, EdgeModel
 
-RELATIONS = ("root_post", "likes", "friends", "commented")
+BACKENDS = ("heap", "mmap", "sqlite")
 
 
-def assert_graphs_equal(a: SocialGraph, b: SocialGraph) -> None:
-    for name in RELATIONS:
-        ma, mb = getattr(a, name), getattr(b, name)
-        assert ma.shape == mb.shape, name
-        for x, y in zip(ma.to_coo(), mb.to_coo()):
+def assert_matches_model(g: SocialGraph, model: EdgeModel) -> None:
+    for name in RELATIONS + ("likes_t",):
+        got = g._likes_t.view() if name == "likes_t" else getattr(g, name)
+        want = model.matrix(name)
+        assert got.shape == want.shape, name
+        for x, y in zip(got.to_coo(), want.to_coo()):
             assert np.array_equal(x, y), name
-    # the dynamic strategy's likes-transpose index must mirror likes exactly
-    for g in (a, b):
-        likes_t = getattr(g, "_likes_t", None)
-        if likes_t is not None:
-            lt = likes_t.view()
-            assert lt.isequal(g.likes.T)
+
+
+def assert_delta_matches(delta, expected: dict) -> None:
+    for field, pairs in expected.items():
+        got = set(zip(*map(np.ndarray.tolist, getattr(delta, field))))
+        assert got == pairs, field
+
+
+def assert_queries_equal(a: SocialGraph, b: SocialGraph) -> None:
     assert Q1Batch(a).result_string() == Q1Batch(b).result_string()
     assert (
         Q2Batch(a, algorithm="unionfind").result_string()
@@ -50,42 +58,41 @@ def assert_graphs_equal(a: SocialGraph, b: SocialGraph) -> None:
     )
 
 
-def _run_datagen_equivalence(storage, seed, removal_fraction):
-    dyn = generate_graph(1, seed=seed, storage=storage)
-    mat = generate_graph(1, seed=seed, storage="matrix")
+def _run_datagen_against_model(storage, seed, removal_fraction):
+    g = generate_graph(1, seed=seed, storage=storage)
+    model = EdgeModel()
+    model.apply(g.to_change_stream())
     stream = generate_change_sets(
-        dyn,
+        g,
         total_inserts=200,
         num_change_sets=8,
         seed=seed + 1,
         removal_fraction=removal_fraction,
     )
-    assert_graphs_equal(dyn, mat)
+    assert_matches_model(g, model)
     for cs in stream:
-        d1 = dyn.apply(cs)
-        d2 = mat.apply(cs)
-        # the deltas the incremental engines consume must agree too
-        for field in ("new_likes", "new_friendships", "removed_likes",
-                      "removed_friendships", "new_root_post_edges"):
-            p1, p2 = getattr(d1, field), getattr(d2, field)
-            assert sorted(zip(*map(np.ndarray.tolist, p1))) == sorted(
-                zip(*map(np.ndarray.tolist, p2))
-            ), field
-        assert_graphs_equal(dyn, mat)
+        assert_delta_matches(g.apply(cs), model.apply(cs))
+        assert_matches_model(g, model)
+    return g, stream
 
 
 @pytest.mark.parametrize("seed", [3, 11, 23])
 @pytest.mark.parametrize("removal_fraction", [0.0, 0.35])
 def test_datagen_streams_agree(seed, removal_fraction):
-    _run_datagen_equivalence("dynamic", seed, removal_fraction)
+    _run_datagen_against_model("heap", seed, removal_fraction)
 
 
 @pytest.mark.parametrize("backend", ["mmap", "sqlite"])
 def test_file_backed_arenas_agree_with_matrix_oracle(backend):
-    """The out-of-core backends run the same equivalence gauntlet the
-    heap arena does -- one grid point each; the wider sweep lives in
-    tests/storage/test_backend_conformance.py."""
-    _run_datagen_equivalence(backend, seed=3, removal_fraction=0.35)
+    """The out-of-core backends run the same gauntlet against the model's
+    oracle matrices as the heap arena -- one grid point each; the wider
+    sweep lives in tests/storage/test_backend_conformance.py -- and serve
+    the heap graph's Q1/Q2."""
+    g, stream = _run_datagen_against_model(backend, seed=3, removal_fraction=0.35)
+    heap = generate_graph(1, seed=3, storage="heap")
+    for cs in stream:
+        heap.apply(cs)
+    assert_queries_equal(g, heap)
 
 
 # -- hypothesis: adversarial tiny streams (duplicates, cancelling ops) -----
@@ -100,19 +107,23 @@ _edge_ops = st.lists(
 )
 
 
+_SEED = ChangeSet(
+    [AddUser(100 + i) for i in range(4)]
+    + [AddPost(10, 1, 100)]
+    + [AddComment(20 + i, 2 + i, 100 + i % 4, 10) for i in range(3)]
+)
+
+
 def _seed(storage: str) -> SocialGraph:
     g = SocialGraph(storage=storage)
-    cs = ChangeSet(
-        [AddUser(100 + i) for i in range(4)]
-        + [AddPost(10, 1, 100)]
-        + [AddComment(20 + i, 2 + i, 100 + i % 4, 10) for i in range(3)]
-    )
-    g.apply(cs)
+    g.apply(_SEED)
     return g
 
 
-def _seed_pair() -> tuple[SocialGraph, SocialGraph]:
-    return _seed("dynamic"), _seed("matrix")
+def _seed_model() -> EdgeModel:
+    model = EdgeModel()
+    model.apply(_SEED)
+    return model
 
 
 def _to_changes(ops_seq) -> list:
@@ -129,39 +140,44 @@ def _to_changes(ops_seq) -> list:
     return changes
 
 
-@given(ops_seq=_edge_ops)
+@given(ops_seq=_edge_ops, backend=st.sampled_from(BACKENDS))
 @settings(max_examples=50, deadline=None)
-def test_random_edge_ops_agree(ops_seq):
-    dyn, mat = _seed_pair()
+def test_random_edge_ops_agree(ops_seq, backend):
+    g, model = _seed(backend), _seed_model()
     changes = _to_changes(ops_seq)
     # split into a few change sets so flush boundaries are exercised
     third = max(1, len(changes) // 3)
     for lo in range(0, len(changes), third):
         cs = ChangeSet(changes[lo : lo + third])
-        dyn.apply(cs)
-        mat.apply(cs)
-        assert_graphs_equal(dyn, mat)
+        assert_delta_matches(g.apply(cs), model.apply(cs))
+        assert_matches_model(g, model)
+    g.close()
 
 
-@given(load=_edge_ops, follow=_edge_ops)
+@given(load=_edge_ops, follow=_edge_ops, backend=st.sampled_from(BACKENDS))
 @settings(max_examples=40, deadline=None)
-def test_bulk_first_flush_agrees_with_per_row_flushes(load, follow):
+def test_bulk_first_flush_agrees_with_per_row_flushes(load, follow, backend):
     """Edges that reach the arenas in one first flush -- the one-pass
-    layout a CSV/snapshot load takes -- equal the same edges flushed one
-    change at a time through the per-row path, and keep agreeing under a
-    follow-up stream."""
-    bulk, per_row, mat = _seed("dynamic"), _seed("dynamic"), _seed("matrix")
+    layout a CSV/snapshot load takes -- and the same edges flushed one
+    change at a time through the per-row path both match the model, and
+    keep matching it (and each other's Q1/Q2) under a follow-up stream."""
+    bulk, per_row, model = _seed(backend), _seed(backend), _seed_model()
     changes = _to_changes(load)
     bulk.apply(ChangeSet(changes))
     for ch in changes:
         per_row.apply(ChangeSet([ch]))
-        mat.apply(ChangeSet([ch]))
-    assert_graphs_equal(bulk, per_row)
+    model.apply(changes)
+    for g in (bulk, per_row):
+        assert_matches_model(g, model)
     for ch in _to_changes(follow):
-        for g in (bulk, per_row, mat):
+        for g in (bulk, per_row):
             g.apply(ChangeSet([ch]))
-    assert_graphs_equal(bulk, per_row)
-    assert_graphs_equal(bulk, mat)
+        model.apply([ch])
+    for g in (bulk, per_row):
+        assert_matches_model(g, model)
+    assert_queries_equal(bulk, per_row)
+    bulk.close()
+    per_row.close()
 
 
 def test_unknown_storage_rejected():

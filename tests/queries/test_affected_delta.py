@@ -48,9 +48,8 @@ def test_paper_example():
 
 @pytest.mark.parametrize("seed", [2, 9, 31])
 @pytest.mark.parametrize("removal_fraction", [0.0, 0.4])
-@pytest.mark.parametrize("storage", ["dynamic", "matrix"])
-def test_datagen_streams(seed, removal_fraction, storage):
-    g = generate_graph(1, seed=seed, storage=storage)
+def test_datagen_streams(seed, removal_fraction):
+    g = generate_graph(1, seed=seed)
     stream = generate_change_sets(
         g,
         total_inserts=220,

@@ -88,16 +88,46 @@ class TestServingBasics:
         svc.close()
 
     def test_all_tools_cached_and_agree(self):
+        """Every served tool's cached Q1/Q2 equals the batch oracles on the
+        service's graph, after every change set."""
         graph, stream = generate_benchmark_input(1, seed=3, num_change_sets=2)
-        with GraphService(graph, max_batch=10_000, max_delay_ms=1e9) as svc:
-            for cs in stream:
+        with GraphService(
+            graph, tools=GB_TOOLS, max_batch=10_000, max_delay_ms=1e9
+        ) as svc:
+            for cs in [ChangeSet([])] + list(stream):
                 svc.submit(cs)
-            svc.flush()
-            for query in ("Q1", "Q2"):
-                strings = {
-                    svc.query(query, tool).result_string for tool in svc.tools
+                svc.flush()
+                want = {
+                    "Q1": Q1Batch(svc.graph).result_string(),
+                    "Q2": Q2Batch(svc.graph, algorithm="unionfind").result_string(),
                 }
-                assert len(strings) == 1, f"{query} disagreement: {strings}"
+                for query, oracle in want.items():
+                    for tool in svc.tools:
+                        got = svc.query(query, tool)
+                        assert got.version == svc.version
+                        assert got.result_string == oracle, (query, tool)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_default_serves_the_incremental_engine_only(self, sharded):
+        """The served path is one engine per query; the NMF baselines are
+        Fig. 5 tools and a service refuses them."""
+        from repro.sharding import ShardedGraphService
+
+        def make(**kw):
+            if sharded:
+                return ShardedGraphService(small_graph(), shards=2, **kw)
+            return GraphService(small_graph(), **kw)
+
+        with make() as svc:
+            stats = svc.stats()
+            for st in stats["per_shard"] if sharded else [stats]:
+                registered = {(q, t) for q in st["queries"] for t in st["tools"]}
+                assert registered | set(st["analytics"]) == {
+                    ("Q1", "graphblas-incremental"),
+                    ("Q2", "graphblas-incremental"),
+                }
+        with pytest.raises(ReproError, match="make_engine"):
+            make(tools=("nmf-batch",))
 
     def test_stats_shape(self):
         with GraphService(small_graph(), tools=GB_TOOLS, max_delay_ms=1e9) as svc:

@@ -107,7 +107,7 @@ class TestChangeStreamExport:
             g.apply(cs)
         from repro.model.changes import ChangeSet
 
-        rebuilt = SocialGraph(storage=g.storage)
+        rebuilt = SocialGraph(storage=g.backend)
         rebuilt.apply(ChangeSet(list(g.to_change_stream())))
         assert rebuilt.stats() == g.stats()
         assert rebuilt.users.external_array().tolist() == g.users.external_array().tolist()

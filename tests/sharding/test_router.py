@@ -11,9 +11,9 @@ from repro.model.changes import (
     AddPost,
     AddUser,
 )
-from repro.queries.engine import make_engine
+from repro.queries.engine import SERVED_TOOLS, make_engine
 from repro.serving import GraphService
-from repro.sharding import SHARDABLE_TOOLS, ShardedGraphService, default_shards
+from repro.sharding import ShardedGraphService, default_shards
 from repro.util.validation import ReproError
 from tests.conftest import build_paper_graph, datagen_stream, paper_update
 
@@ -22,7 +22,7 @@ KW = dict(tools=("graphblas-incremental",), max_batch=10**9, max_delay_ms=1e9)
 
 class TestConstruction:
     def test_nmf_tools_rejected(self):
-        with pytest.raises(ReproError, match="mergeable-result"):
+        with pytest.raises(ReproError, match="Fig. 5 baseline"):
             ShardedGraphService(shards=2, tools=("nmf-batch",))
 
     def test_bad_shard_count_rejected(self):
@@ -302,5 +302,8 @@ class TestMergeProtocolSurface:
         finally:
             svc.close()
 
-    def test_shardable_tools_constant(self):
-        assert SHARDABLE_TOOLS == ("graphblas-batch", "graphblas-incremental")
+    def test_served_tools_constant(self):
+        """One list of servable tools for the service and the router."""
+        assert SERVED_TOOLS == ("graphblas-incremental", "graphblas-batch")
+        with ShardedGraphService(shards=2, tools=SERVED_TOOLS) as svc:
+            assert svc.tools == SERVED_TOOLS

@@ -29,28 +29,42 @@ def _store(backend, tmp_path):
 class TestResolveStorage:
     def test_default_is_dynamic_heap(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORAGE", raising=False)
-        assert resolve_storage(None) == ("dynamic", "heap")
-        assert resolve_storage("dynamic") == ("dynamic", "heap")
+        assert resolve_storage(None) == "heap"
+        monkeypatch.setenv("REPRO_STORAGE", "")
+        assert resolve_storage(None) == "heap"
 
     def test_env_steers_default_and_dynamic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "mmap")
-        assert resolve_storage(None) == ("dynamic", "mmap")
-        assert resolve_storage("dynamic") == ("dynamic", "mmap")
+        """The knob steers the default spec, and with it every
+        default-constructed (dynamic-arena) graph."""
+        from repro.model import SocialGraph
 
-    def test_env_can_select_matrix(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "matrix")
-        assert resolve_storage(None) == ("matrix", None)
-        # ...but only for *defaulted* graphs: explicit specs stay pinned
-        assert resolve_storage("dynamic") == ("dynamic", "heap")
+        monkeypatch.setenv("REPRO_STORAGE", " MMAP ")
+        assert resolve_storage(None) == "mmap"
+        g = SocialGraph()
+        assert g.backend == "mmap"
+        g.close()
 
     def test_explicit_backend_ignores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORAGE", "sqlite")
-        assert resolve_storage("heap") == ("dynamic", "heap")
-        assert resolve_storage("matrix") == ("matrix", None)
+        for backend in BACKENDS:
+            assert resolve_storage(backend) == backend
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(ReproError, match="unknown storage"):
-            resolve_storage("zram")
+        for spec in ("zram", "matrix", "dynamic"):
+            with pytest.raises(ReproError, match="unknown storage"):
+                resolve_storage(spec)
+
+    @pytest.mark.parametrize("value", ["mmpa", "matrix", "dynamic"])
+    def test_unknown_env_value_raises(self, monkeypatch, value):
+        """A misspelt knob fails closed and names the three backends,
+        instead of silently running on the heap."""
+        monkeypatch.setenv("REPRO_STORAGE", value)
+        with pytest.raises(ReproError, match="REPRO_STORAGE") as exc:
+            resolve_storage(None)
+        for backend in BACKENDS:
+            assert backend in str(exc.value)
+        # ...but an explicit spec never reads the knob
+        assert resolve_storage("heap") == "heap"
 
     def test_make_store_needs_directory_for_file_backends(self):
         for backend, needs_dir in BACKENDS.items():

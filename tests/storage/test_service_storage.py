@@ -150,8 +150,8 @@ class TestStorageSelection:
 
 def test_sharded_mmap_matches_unsharded_heap(tmp_path, monkeypatch):
     """Shard-invariance spot-check out-of-core: with REPRO_STORAGE=mmap
-    the partitioner builds mmap-backed shard graphs (storage_spec
-    inheritance), and every served result stays bit-identical to the
+    the partitioner builds mmap-backed shard graphs (each shard
+    inherits the source graph's backend), and every served result stays bit-identical to the
     unsharded heap service."""
     kw = dict(KW, analytics=("components",))
     queries = QUERIES + ("components",)
